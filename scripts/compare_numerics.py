@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Compare the numbers two source trees of hydroforecast produce.
+
+Each tree runs in its own interpreter and dumps a fixed set of results:
+forecasts, every parameter gradient and the tape-node count of an MSE loss,
+adjoint kernel gradients and dL/dF0, attention weights, datasets read back from
+disk, and benchmark report files. The cases are the attention, mlp and lstm
+encoders x euler and rk4 x fitted and identity normalisers on Task 1.2 and
+Task 2 data, plus causal, positional-encoding and time-input attention models.
+
+Every array must be byte-identical, with two exceptions. Models whose kernel
+reads the time (time_input) may differ by float64 round-off: at most 1e-14
+times the array's largest magnitude, or 1e-14 absolute where that is below 1.
+Tape-node counts must match for models with a fitted normaliser, and
+are only reported for identity ones.
+
+    python scripts/compare_numerics.py --base path/to/old/src --head src
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+TASKS = {"1.2": {"num_trajectories": 6}, "2": {"num_trajectories": 4, "length": 80}}
+BATCH = 3
+VARIANTS = {"causal": {"causal_attention": True},
+            "positional": {"positional_encoding": True},
+            "time_input": {"time_input": True}}
+ROUNDOFF = 1e-14
+
+
+def _tape_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def _model_case(hf, out, key, ds, cfg, fitted):
+    Tensor = hf.autodiff.Tensor
+    model = hf.models.build_model(cfg)
+    if fitted:
+        model.fit_normalizer(ds)
+    rng = np.random.default_rng(7)
+    if cfg.encoder != "lstm-baseline":
+        # a fresh kernel's last layer is zero, which would leave the solver idle
+        last = model.kernel_mlp.layers[-1]
+        last.weight.data[:] = rng.normal(scale=0.3, size=last.weight.shape)
+        last.bias.data[:] = rng.normal(scale=0.1, size=last.bias.shape)
+    x, forces, f0 = (a[:BATCH] for a in ds.stack())
+    pred = model.predict_forces(Tensor(x), Tensor(f0))
+    loss = hf.training.mse_loss(pred, Tensor(forces))
+    model.params.zero_grad()
+    hf.autodiff.backward(loss)
+    out[f"{key}/forecast"] = pred.data
+    out[f"{key}/nodes"] = np.array(_tape_nodes(loss))
+    for name, t in model.params.items():
+        out[f"{key}/grad/{name}"] = np.zeros_like(t.data) if t.grad is None else t.grad
+    if cfg.encoder == "attention":
+        out[f"{key}/attention_weights"] = model.attn.attention_weights(
+            model.embed(Tensor(x[0])), causal=cfg.causal_attention)
+    if cfg.encoder == "lstm-baseline":
+        return
+    controls = Tensor(model.encode_conditions(Tensor(x)).data)
+    f0n = Tensor(f0 / model.f_scale)
+    grid = hf.odeint.TimeGrid(0.0, cfg.dt, x.shape[1])
+    params = [(n, t) for n, t in model.params.items() if n.startswith("kernel.")]
+    traj = hf.odeint.integrate(cfg.solver, f0n, model.kernel, grid, controls).data
+    dl = 2.0 * (traj - forces / model.f_scale) / traj.size
+    pgrads, a0 = hf.odeint.adjoint_backward(traj, f0n, model.kernel, grid, controls, dl,
+                                            params, solver=cfg.solver)
+    out[f"{key}/adjoint/dF0"] = a0
+    for name, g in pgrads.items():
+        out[f"{key}/adjoint/{name}"] = g
+
+
+def dump(path) -> None:
+    import hydroforecast.autodiff
+    import hydroforecast.evalbench
+    import hydroforecast.hydrodata
+    import hydroforecast.models
+    import hydroforecast.odeint
+    import hydroforecast.training
+    hf = hydroforecast
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for task, kwargs in TASKS.items():
+            ds = hf.hydrodata.generate(task, seed=0, **kwargs)
+            hf.hydrodata.save_dataset(ds, os.path.join(tmp, task))
+            for j, rec in enumerate(hf.hydrodata.load_dataset(os.path.join(tmp, task)).records):
+                for field in ("times", "conditions", "forces", "f0", "condition_ids"):
+                    out[f"data/{task}/{j}/{field}"] = getattr(rec, field)
+            base = {"n_in": ds.n, "f_out": ds.f, "dt": ds.dt}
+            for encoder in ("attention", "mlp", "lstm-baseline"):
+                for solver in ("euler", "rk4"):
+                    for norm in ("fitted", "identity"):
+                        cfg = hf.models.ModelConfig(encoder=encoder, solver=solver, **base)
+                        _model_case(hf, out, f"{task}/{encoder}/{solver}/{norm}", ds, cfg,
+                                    norm == "fitted")
+            for variant, flags in VARIANTS.items():
+                for solver in ("euler", "rk4"):
+                    cfg = hf.models.ModelConfig(solver=solver, **base, **flags)
+                    _model_case(hf, out, f"{task}/{variant}/{solver}/fitted", ds, cfg, True)
+        ev = hf.evalbench
+        table = ev.BenchmarkTable(
+            rows=[ev.BenchmarkCell(model="MLP-ODE-euler", solver="euler", task="1.1",
+                                   mae=0.5, rmse=0.7, mae_per_axis=(0.4, 0.6),
+                                   rmse_per_axis=(0.6, 0.8), params=100,
+                                   time_ms_mean=1.25, seed=0),
+                  ev.BenchmarkCell(model="Attention-ODE-rk4", solver="rk4", task="2",
+                                   failure="DivergenceError: boom, with comma")],
+            config={"suite": "task2", "preset": "desk"})
+        for timing in (True, False):
+            for p in ev.emit_report(table, os.path.join(tmp, f"report{timing}"),
+                                    include_timing=timing):
+                out[f"report/{timing}/{p.name}"] = np.frombuffer(p.read_bytes(), np.uint8)
+    np.savez(path, **out)
+
+
+def _run(src, path) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", path],
+                   env=env, check=True, cwd=tempfile.gettempdir())
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def compare(base: dict, head: dict) -> bool:
+    ok = set(base) == set(head)
+    if not ok:
+        print(f"key sets differ: {sorted(set(base) ^ set(head))}")
+    identical, roundoff, scaled, node_diffs = 0, 0.0, 0.0, []
+    for key in sorted(set(base) & set(head)):
+        a, b = base[key], head[key]
+        if key.endswith("/nodes"):
+            if a != b:
+                node_diffs.append(f"{key}: {int(a)} -> {int(b)}")
+                ok &= not key.endswith("/fitted/nodes")
+            continue
+        if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+            identical += 1
+        elif "/time_input/" in key and a.shape == b.shape:
+            diff = float(np.max(np.abs(a - b)))
+            roundoff = max(roundoff, diff)
+            scaled = max(scaled, diff / max(1.0, float(np.max(np.abs(a)))))
+        else:
+            print(f"differs: {key}")
+            ok = False
+    arrays = sum(1 for k in base if not k.endswith("/nodes"))
+    print(f"{identical} of {arrays} arrays byte-identical")
+    ok &= scaled <= ROUNDOFF
+    print(f"time_input arrays: max |base - head| = {roundoff:.3g}, "
+          f"scaled by max(1, max |base|) = {scaled:.3g} (bound {ROUNDOFF:g})")
+    print(f"tape-node counts changed: {len(node_diffs)}")
+    for line in node_diffs:
+        print(f"  {line}")
+    print("OK" if ok else "FAILED")
+    return ok
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="src directory of the reference tree")
+    parser.add_argument("--head", help="src directory of the tree under test")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if not (args.base and args.head):
+        parser.error("--base and --head are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = _run(args.base, os.path.join(tmp, "base.npz"))
+        head = _run(args.head, os.path.join(tmp, "head.npz"))
+    return 0 if compare(base, head) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -372,7 +372,10 @@ def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {id(loss): seed.astype(np.float64)}
     for node in reversed(_topo(loss)):
         g = grads.get(id(node))
-        if g is None or node._vjp is None:
+        if g is None:
+            continue
+        if node._vjp is None:  # a leaf: every consumer has been swept already
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -382,12 +385,6 @@ def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = np.array(pg, dtype=np.float64)
-    for node in _topo(loss):
-        if node.requires_grad and id(node) in grads and node._vjp is None:
-            if node.grad is None:
-                node.grad = grads[id(node)].copy()
-            else:
-                node.grad = node.grad + grads[id(node)]
     return grads
 
 

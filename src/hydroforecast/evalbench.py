@@ -243,30 +243,22 @@ def _cell_csv_value(cell: BenchmarkCell, col: str) -> str:
     return str(value)
 
 
-def emit_report(table: BenchmarkTable, outdir, datasets_for_plots=None,
-                include_timing: bool = True) -> list[Path]:
+def emit_report(table: BenchmarkTable, outdir, include_timing: bool = True) -> list[Path]:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    cols = [c for c in CSV_COLUMNS if include_timing or c != "time_ms_mean"]
 
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(cols)]
     for cell in table.rows:
-        cols = list(CSV_COLUMNS)
-        if not include_timing:
-            cols = [c for c in cols if c != "time_ms_mean"]
-        lines.append(",".join(_cell_csv_value(cell, c) for c in CSV_COLUMNS
-                              if include_timing or c != "time_ms_mean"))
-    if not include_timing:
-        lines[0] = ",".join(c for c in CSV_COLUMNS if c != "time_ms_mean")
+        lines.append(",".join(_cell_csv_value(cell, c) for c in cols))
     csv_path = out / "results.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     written.append(csv_path)
 
     payload = {"config": table.config, "rows": []}
     for cell in table.rows:
-        row = {c: getattr(cell, c) for c in CSV_COLUMNS}
-        if not include_timing:
-            row.pop("time_ms_mean", None)
+        row = {c: getattr(cell, c) for c in cols}
         row["mae_per_axis"] = list(cell.mae_per_axis)
         row["rmse_per_axis"] = list(cell.rmse_per_axis)
         row["failure"] = cell.failure

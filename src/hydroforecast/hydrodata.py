@@ -323,18 +323,15 @@ def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT
     return ds
 
 
+_TASK1_VARIANTS = {"1.1": "static", "1.2": "switching", "1.3": "noisy"}
+
+
 def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
              dt: float = DEFAULT_DT, length: int | None = None,
              params: OracleParams | None = None) -> TrajectoryDataset:
     """Dispatch by task tag: 1.1, 1.2, 1.3, or 2."""
-    if task == "1.1":
-        return gen_task1("static", num_conditions=num_trajectories or 192,
-                         length=length, dt=dt, seed=seed, params=params)
-    if task == "1.2":
-        return gen_task1("switching", num_conditions=num_trajectories or 192,
-                         length=length, dt=dt, seed=seed, params=params)
-    if task == "1.3":
-        return gen_task1("noisy", num_conditions=num_trajectories or 192,
+    if task in _TASK1_VARIANTS:
+        return gen_task1(_TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
                          length=length, dt=dt, seed=seed, params=params)
     if task == "2":
         return gen_task2(num_trajectories=num_trajectories or 24,
@@ -443,8 +440,14 @@ def load_dataset(indir) -> TrajectoryDataset:
         path = root / entry["file"]
         if not path.exists():
             raise FileNotFoundError(f"manifest lists missing trajectory file {path}")
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1)
         n, f = manifest["n"], manifest["f"]
+        try:
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"trajectory file {path}: {e}") from None
+        if raw.shape != (manifest["L"], 2 + n + f) or not np.all(np.isfinite(raw)):
+            raise ValueError(f"trajectory file {path} is not a finite "
+                             f"{manifest['L']}x{2 + n + f} table (got {raw.shape})")
         records.append(TrajectoryRecord(
             times=raw[:, 0].copy(),
             conditions=raw[:, 1:1 + n].copy(),

@@ -141,42 +141,35 @@ class MultiHeadSelfAttention:
             for name, t in layer.named_parameters():
                 yield f"{tag}.{name}", t
 
-    def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
+    def _head_cols(self, h: int) -> tuple:
+        return (Ellipsis, slice(h * self.d_head, (h + 1) * self.d_head))
+
+    def _head_weights(self, x: Tensor, causal: bool) -> list[Tensor]:
+        """Per-head softmax(q k^T / sqrt(d_head)); causal masks keys after the query."""
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"attention: input dim {x.shape[-1]} != d_model {self.d_model}")
         n = x.shape[-2]
-        q = self.w_q(x)
-        k = self.w_k(x)
-        v = self.w_v(x)
+        q, k = self.w_q(x), self.w_k(x)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        mask = None
-        if causal:
-            mask = np.triu(np.full((n, n), -1e30), k=1)
-        head_outs = []
+        mask = np.triu(np.full((n, n), -1e30), k=1) if causal else None
+        out = []
         for h in range(self.heads):
-            cols = (Ellipsis, slice(h * self.d_head, (h + 1) * self.d_head))
-            qh, kh, vh = q[cols], k[cols], v[cols]
-            scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), inv_sqrt)
-            if mask is not None:
+            cols = self._head_cols(h)
+            scores = ad.scale(ad.matmul(q[cols], ad.transpose_last2(k[cols])), inv_sqrt)
+            if causal:
                 scores = ad.add(scores, ad.expand(Tensor(mask), scores.shape))
-            weights = ad.softmax_lastdim(scores)
-            head_outs.append(ad.matmul(weights, vh))
+            out.append(ad.softmax_lastdim(scores))
+        return out
+
+    def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
+        weights = self._head_weights(x, causal)
+        v = self.w_v(x)
+        head_outs = [ad.matmul(w, v[self._head_cols(h)]) for h, w in enumerate(weights)]
         return self.w_o(ad.concat(head_outs, axis=-1))
 
     def attention_weights(self, x: Tensor, causal: bool = False) -> np.ndarray:
         """Per-head softmax weights, stacked on a new leading axis (diagnostic)."""
-        q, k = self.w_q(x), self.w_k(x)
-        inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        out = []
-        for h in range(self.heads):
-            cols = (Ellipsis, slice(h * self.d_head, (h + 1) * self.d_head))
-            scores = ad.scale(ad.matmul(q[cols], ad.transpose_last2(k[cols])), inv_sqrt)
-            if causal:
-                n = x.shape[-2]
-                scores = ad.add(scores, ad.expand(Tensor(np.triu(np.full((n, n), -1e30), k=1)),
-                                                  scores.shape))
-            out.append(ad.softmax_lastdim(scores).data)
-        return np.stack(out)
+        return np.stack([w.data for w in self._head_weights(x, causal)])
 
 
 class LSTMStack:

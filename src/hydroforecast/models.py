@@ -129,8 +129,6 @@ class ForecastModel:
         self.f_scale = np.maximum(forces.reshape(-1, forces.shape[-1]).std(axis=0), 1e-8)
 
     def _norm_x(self, x: Tensor) -> Tensor:
-        if np.all(self.x_mean == 0.0) and np.all(self.x_std == 1.0):
-            return x
         centered = ad.sub(x, ad.expand(Tensor(self.x_mean), x.shape))
         return ad.mul(centered, ad.expand(Tensor(1.0 / self.x_std), x.shape))
 
@@ -159,43 +157,28 @@ class ForecastModel:
         return self.kernel_mlp(ad.concat(parts, axis=-1))
 
     def predict_forces(self, x: Tensor, f0: Tensor, grid: TimeGrid | None = None) -> Tensor:
+        """Forces [..., L, f_out] from raw conditions [..., L, n_in] and F0 [..., f_out]."""
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
         f0 = f0 if isinstance(f0, Tensor) else Tensor(f0)
-        if cfg.encoder == "lstm-baseline":
-            return self.predict_forces_lstm(x, f0)
-        n = x.shape[-2]
-        if grid is None:
-            grid = TimeGrid(0.0, cfg.dt, n)
-        if grid.steps != n:
-            raise ShapeError(f"grid steps {grid.steps} != condition length {n}")
-        if f0.shape[-1] != cfg.f_out:
-            raise ShapeError(f"F0 dim {f0.shape[-1]} != configured f_out {cfg.f_out}")
-        controls = self.encode_conditions(x)
-        identity_scale = bool(np.all(self.f_scale == 1.0))
-        if not identity_scale:  # integrate in per-axis normalized force space
-            f0 = ad.mul(f0, ad.expand(Tensor(1.0 / self.f_scale), f0.shape))
-        traj = integrate(cfg.solver, f0, self.kernel, grid, controls)
-        if not identity_scale:
-            traj = ad.mul(traj, ad.expand(Tensor(self.f_scale), traj.shape))
-        return traj
-
-    def predict_forces_lstm(self, x: Tensor, f0: Tensor) -> Tensor:
-        cfg = self.config
         if x.shape[-1] != cfg.n_in:
             raise ShapeError(f"condition dim {x.shape[-1]} != configured n_in {cfg.n_in}")
         if f0.shape[-1] != cfg.f_out:
             raise ShapeError(f"F0 dim {f0.shape[-1]} != configured f_out {cfg.f_out}")
-        identity_scale = bool(np.all(self.f_scale == 1.0))
-        x = self._norm_x(x)
-        if not identity_scale:
-            f0 = ad.mul(f0, ad.expand(Tensor(1.0 / self.f_scale), f0.shape))
-        f0e = ad.expand(ad.reshape(f0, f0.shape[:-1] + (1, cfg.f_out)),
-                        x.shape[:-1] + (cfg.f_out,))
-        out = self.proj(self.lstm(ad.concat([x, f0e], axis=-1)))
-        if not identity_scale:
-            out = ad.mul(out, ad.expand(Tensor(self.f_scale), out.shape))
-        return out
+        # forecast in per-axis normalised force space
+        f0 = ad.mul(f0, ad.expand(Tensor(1.0 / self.f_scale), f0.shape))
+        if cfg.encoder == "lstm-baseline":  # F0 is fed alongside every input row
+            f0e = ad.expand(ad.reshape(f0, f0.shape[:-1] + (1, cfg.f_out)),
+                            x.shape[:-1] + (cfg.f_out,))
+            out = self.proj(self.lstm(ad.concat([self._norm_x(x), f0e], axis=-1)))
+        else:
+            n = x.shape[-2]
+            if grid is None:
+                grid = TimeGrid(0.0, cfg.dt, n)
+            if grid.steps != n:
+                raise ShapeError(f"grid steps {grid.steps} != condition length {n}")
+            out = integrate(cfg.solver, f0, self.kernel, grid, self.encode_conditions(x))
+        return ad.mul(out, ad.expand(Tensor(self.f_scale), out.shape))
 
     def num_params(self) -> int:
         return count_params(self.params)
@@ -203,19 +186,6 @@ class ForecastModel:
 
 def build_model(config: ModelConfig) -> ForecastModel:
     return ForecastModel(config)
-
-
-def encode_conditions(model: ForecastModel, x: Tensor) -> Tensor:
-    return model.encode_conditions(x)
-
-
-def predict_forces(model: ForecastModel, x: Tensor, f0: Tensor,
-                   grid: TimeGrid | None = None) -> Tensor:
-    return model.predict_forces(x, f0, grid)
-
-
-def predict_forces_lstm(model: ForecastModel, x: Tensor, f0: Tensor) -> Tensor:
-    return model.predict_forces_lstm(x, f0)
 
 
 # ---- checkpoint persistence ---------------------------------------------

@@ -9,6 +9,7 @@ Controls are zero-order held across a step, including RK4 substages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,19 +52,8 @@ def _stack_states(states: Sequence[Tensor], f: int) -> Tensor:
     return ad.concat(rows, axis=-2)
 
 
-def euler_integrate(f0: Tensor, kernel: Kernel, grid: TimeGrid, controls: Tensor) -> Tensor:
-    """States at t1..t_steps from F_{i+1} = F_i + dt * k(F_i, c_i, t_i)."""
-    _check_lengths(controls, grid)
-    f_dim = f0.shape[-1]
-    state = f0
-    out = []
-    t = grid.t0
-    for i in range(grid.steps):
-        c = _control_at(controls, i)
-        state = ad.add(state, ad.scale(kernel(state, c, t), grid.dt))
-        out.append(state)
-        t += grid.dt
-    return _stack_states(out, f_dim)
+def _euler_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
+    return ad.add(state, ad.scale(kernel(state, c, t), dt))
 
 
 def _rk4_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
@@ -75,27 +65,32 @@ def _rk4_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> 
     return ad.add(state, ad.scale(incr, dt / 6.0))
 
 
-def rk4_integrate(f0: Tensor, kernel: Kernel, grid: TimeGrid, controls: Tensor) -> Tensor:
-    _check_lengths(controls, grid)
-    f_dim = f0.shape[-1]
-    state = f0
-    out = []
-    t = grid.t0
-    for i in range(grid.steps):
-        state = _rk4_step(state, _control_at(controls, i), t, grid.dt, kernel)
-        out.append(state)
-        t += grid.dt
-    return _stack_states(out, f_dim)
+# One step per solver, shared by the forward loop and the adjoint sweep: the
+# adjoint is exact only while it replays the forward pass's discrete step.
+_STEPS = {"euler": _euler_step, "rk4": _rk4_step}
 
 
-_SOLVERS = {"euler": euler_integrate, "rk4": rk4_integrate}
+def _step_fn(solver: str):
+    if solver not in _STEPS:
+        raise ValueError(f"unknown solver {solver!r} (euler or rk4)")
+    return _STEPS[solver]
 
 
 def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
               controls: Tensor) -> Tensor:
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r} (euler or rk4)")
-    return _SOLVERS[solver](f0, kernel, grid, controls)
+    """States at t1..t_steps; step i runs from t_i = t0 + i*dt with control c_i."""
+    step = _step_fn(solver)
+    _check_lengths(controls, grid)
+    state = f0
+    out = []
+    for i in range(grid.steps):
+        state = step(state, _control_at(controls, i), grid.t0 + i * grid.dt, grid.dt, kernel)
+        out.append(state)
+    return _stack_states(out, f0.shape[-1])
+
+
+euler_integrate = partial(integrate, "euler")
+rk4_integrate = partial(integrate, "rk4")
 
 
 def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: TimeGrid,
@@ -109,8 +104,7 @@ def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: T
     adding the per-observation loss gradients as impulses. Returns parameter
     gradients (by name) and dL/dF0.
     """
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
+    step = _step_fn(solver)
     trajectory = np.asarray(trajectory, dtype=np.float64)
     dl = np.asarray(dl_dtrajectory, dtype=np.float64)
     if trajectory.shape[-2] != grid.steps:
@@ -131,11 +125,7 @@ def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: T
         for i in range(grid.steps - 1, -1, -1):
             s = Tensor(states[i], requires_grad=True)
             c = Tensor(_control_at(controls, i).data)
-            t_i = grid.t0 + i * grid.dt
-            if solver == "euler":
-                nxt = ad.add(s, ad.scale(kernel(s, c, t_i), grid.dt))
-            else:
-                nxt = _rk4_step(s, c, t_i, grid.dt, kernel)
+            nxt = step(s, c, grid.t0 + i * grid.dt, grid.dt, kernel)
             ad.backward(nxt, seed=a)
             a = s.grad.copy()
             for name, t, _ in saved:

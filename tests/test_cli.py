@@ -156,6 +156,17 @@ class TestTrain:
         assert r.returncode == 2
         assert "splits" in r.stderr
 
+    def test_truncated_trajectory_exit_5(self, dataset_dir, tmp_path):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        path = broken / "traj_0003.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert "traj_0003.csv" in r.stderr and "Traceback" not in r.stderr
+
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "t"))

@@ -298,6 +298,25 @@ class TestDiskFormat:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
 
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        path = tmp_path / "traj_0001.csv"
+        rows = path.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[3] = "garbage"
+        rows[2] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="traj_0001.csv"):
+            load_dataset(tmp_path)
+
+    def test_length_one_round_trip(self, tmp_path):
+        ds = generate("1.1", num_trajectories=1, length=1)
+        save_dataset(ds, tmp_path)
+        rec, loaded = ds.records[0], load_dataset(tmp_path).records[0]
+        assert np.array_equal(loaded.conditions, rec.conditions)
+        assert np.array_equal(loaded.forces, rec.forces)
+        assert np.array_equal(loaded.condition_ids, rec.condition_ids)
+
     def test_splits_persist(self, tmp_path):
         ds = gen_task1("static", num_conditions=48)
         _, _, _, assignment = split_dataset(ds, seed=0)
