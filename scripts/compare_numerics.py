@@ -8,11 +8,11 @@ disk, and benchmark report files. The cases are the attention, mlp and lstm
 encoders x euler and rk4 x fitted and identity normalisers on Task 1.2 and
 Task 2 data, plus causal, positional-encoding and time-input attention models.
 
-Every array must be byte-identical, with two exceptions. Models whose kernel
-reads the time (time_input) may differ by float64 round-off: at most 1e-14
-times the array's largest magnitude, or 1e-14 absolute where that is below 1.
-Tape-node counts must match for models with a fitted normaliser, and
-are only reported for identity ones.
+Forecasts, attention weights, datasets and report files must be
+byte-identical. Parameter gradients and adjoint outputs may differ by float64
+round-off from a reordered summation (a fused op adds a bias gradient's terms
+in another order): at most 1e-14 times the array's largest magnitude, or 1e-14
+absolute where that is below 1. Tape-node counts may fall but must not rise.
 
     python scripts/compare_numerics.py --base path/to/old/src --head src
 """
@@ -136,17 +136,18 @@ def compare(base: dict, head: dict) -> bool:
     ok = set(base) == set(head)
     if not ok:
         print(f"key sets differ: {sorted(set(base) ^ set(head))}")
-    identical, roundoff, scaled, node_diffs = 0, 0.0, 0.0, []
+    identical, near, roundoff, scaled, node_diffs = 0, 0, 0.0, 0.0, []
     for key in sorted(set(base) & set(head)):
         a, b = base[key], head[key]
         if key.endswith("/nodes"):
             if a != b:
                 node_diffs.append(f"{key}: {int(a)} -> {int(b)}")
-                ok &= not key.endswith("/fitted/nodes")
+                ok &= int(b) < int(a)
             continue
         if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
             identical += 1
-        elif "/time_input/" in key and a.shape == b.shape:
+        elif ("/grad/" in key or "/adjoint/" in key) and a.shape == b.shape:
+            near += 1
             diff = float(np.max(np.abs(a - b)))
             roundoff = max(roundoff, diff)
             scaled = max(scaled, diff / max(1.0, float(np.max(np.abs(a)))))
@@ -156,9 +157,9 @@ def compare(base: dict, head: dict) -> bool:
     arrays = sum(1 for k in base if not k.endswith("/nodes"))
     print(f"{identical} of {arrays} arrays byte-identical")
     ok &= scaled <= ROUNDOFF
-    print(f"time_input arrays: max |base - head| = {roundoff:.3g}, "
+    print(f"{near} gradient and adjoint arrays differ: max |base - head| = {roundoff:.3g}, "
           f"scaled by max(1, max |base|) = {scaled:.3g} (bound {ROUNDOFF:g})")
-    print(f"tape-node counts changed: {len(node_diffs)}")
+    print(f"tape-node counts changed: {len(node_diffs)} (a rise fails)")
     for line in node_diffs:
         print(f"  {line}")
     print("OK" if ok else "FAILED")

@@ -2,10 +2,20 @@
 
 Tensors wrap float64 numpy arrays and record a define-by-run tape through
 parent pointers. Calling ``backward`` on a scalar walks the tape in reverse
-topological order and accumulates gradients (+=) into every reachable tensor
-with ``requires_grad``. Binary elementwise ops require exactly matching shapes
-or a scalar operand; anything else must be expanded explicitly with
-``expand``.
+topological order and accumulates gradients (+=) into the ``.grad`` of every
+reachable leaf with ``requires_grad``. Binary elementwise ops require exactly
+matching shapes or a scalar operand; anything else must be expanded
+explicitly with ``expand``.
+
+Each node's VJP maps the gradient of its output to one gradient per parent:
+a dense array shaped like the parent, or, for ``take``, a ``_Scatter`` record
+``(index, g)`` that says ``g`` belongs at ``index`` of the parent. The sweep
+keeps one pending gradient per node. The first dense gradient to reach a
+node is kept as it comes; a second one, or any scatter record, starts a
+buffer that the sweep owns, and later gradients are added into that buffer
+in place. A node's gradient is released as soon as its VJP has run. So the
+sweep's time and memory stay linear in the tape. ``linear`` fuses
+``x @ w + b`` into one node.
 """
 
 from __future__ import annotations
@@ -203,6 +213,30 @@ def sigmoid(a: Tensor) -> Tensor:
 # ---- matmul and softmax --------------------------------------------------
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node; ``x`` is 1-d or has any leading batch axes.
+
+    ``w`` is [in, out] and ``b`` is [out]; the bias gradient is summed over
+    every batch axis of ``x``.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: weight {w.shape} and bias {b.shape} do not fit")
+    if x.ndim == 0 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input shape {x.shape} does not end in {w.shape[0]}")
+    x2 = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    y = np.matmul(x2, w.data)
+    out = (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b.data
+
+    def vjp(g):
+        g2 = g.reshape(1, -1) if x.ndim == 1 else g
+        gx = np.matmul(g2, w.data.T).reshape(x.shape)
+        gw = _reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape)
+        return gx, gw, _reduce_to(g, b.shape)
+
+    return Tensor._make(out, (x, w, b), vjp, "linear")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -294,15 +328,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out, tensors, vjp, "concat")
 
 
+class _Scatter:
+    """A slice's gradient: ``g`` added at ``index`` of a zero parent-shaped array."""
+
+    __slots__ = ("index", "g")
+
+    def __init__(self, index, g):
+        self.index = index
+        self.g = g
+
+
 def take(a: Tensor, index) -> Tensor:
     out = a.data[index]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
-        return (ga,)
-
-    return Tensor._make(np.asarray(out, dtype=np.float64), (a,), vjp, "slice")
+    return Tensor._make(np.asarray(out, dtype=np.float64), (a,),
+                        lambda g: (_Scatter(index, g),), "slice")
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -352,12 +391,36 @@ def _topo(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _accumulate(grads: dict[int, np.ndarray], owned: set[int], p: Tensor, pg) -> None:
+    """Add one VJP result ``pg`` into the pending gradient of ``p``.
+
+    Only buffers in ``owned`` are written in place: a VJP may hand its input
+    gradient, or a view of it, to a parent, and that array must stay intact.
+    ``np.add.at`` keeps repeated fancy-index entries accumulating.
+    """
+    key = id(p)
+    if key not in owned:
+        old = grads.get(key)
+        if old is None and not isinstance(pg, _Scatter):
+            grads[key] = pg
+            return
+        grads[key] = np.zeros_like(p.data) if old is None else np.array(old, dtype=np.float64)
+        owned.add(key)
+    if isinstance(pg, _Scatter):
+        np.add.at(grads[key], pg.index, pg.g)
+    else:
+        grads[key] += pg
+
+
 def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
     """Reverse-mode sweep from ``loss``.
 
-    Accumulates into ``.grad`` of every reachable requires_grad tensor and
-    returns the full id -> gradient map. ``seed`` overrides the default
-    all-ones seed (the default requires a scalar loss).
+    Accumulates into ``.grad`` of every reachable leaf with requires_grad
+    (a copy when ``.grad`` is None, else ``.grad + g``) and returns a map
+    from ``id`` of each such leaf to this sweep's gradient of it. Interior
+    nodes' gradients are released as the sweep passes them and are not in
+    the map. ``seed`` overrides the default all-ones seed (the default
+    requires a scalar loss).
     """
     if seed is None:
         if loss.ndim != 0 and loss.size != 1:
@@ -370,21 +433,20 @@ def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
     if not loss.requires_grad:
         return {}
     grads: dict[int, np.ndarray] = {id(loss): seed.astype(np.float64)}
+    owned: set[int] = set()
     for node in reversed(_topo(loss)):
-        g = grads.get(id(node))
+        if node._vjp is None:  # a leaf: every consumer has been swept already
+            g = grads.get(id(node))
+            if g is not None:
+                node.grad = (np.array(g, dtype=np.float64) if node.grad is None
+                             else node.grad + g)
+            continue
+        g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:  # a leaf: every consumer has been swept already
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad:
-                continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = np.array(pg, dtype=np.float64)
+        for p, pg in zip(node._parents, node._vjp(g)):
+            if p.requires_grad:
+                _accumulate(grads, owned, p, pg)
     return grads
 
 

@@ -448,11 +448,18 @@ def load_dataset(indir) -> TrajectoryDataset:
         if raw.shape != (manifest["L"], 2 + n + f) or not np.all(np.isfinite(raw)):
             raise ValueError(f"trajectory file {path} is not a finite "
                              f"{manifest['L']}x{2 + n + f} table (got {raw.shape})")
+        try:
+            f0 = np.asarray(entry["f0"], dtype=np.float64)
+        except (TypeError, ValueError):
+            f0 = None
+        if f0 is None or f0.shape != (f,) or not np.all(np.isfinite(f0)):
+            raise ValueError(f"manifest f0 of trajectory {entry['file']} is not a finite "
+                             f"vector of length {f} (got {entry['f0']!r})")
         records.append(TrajectoryRecord(
             times=raw[:, 0].copy(),
             conditions=raw[:, 1:1 + n].copy(),
             forces=raw[:, 1 + n:1 + n + f].copy(),
-            f0=np.asarray(entry["f0"], dtype=np.float64),
+            f0=f0,
             condition_ids=raw[:, -1].astype(np.int64),
             direction=entry.get("direction")))
     return TrajectoryDataset(

@@ -72,8 +72,6 @@ class LinearLayer:
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"LinearLayer dims must be positive, got {in_dim}->{out_dim}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Tensor(xavier_uniform(in_dim, out_dim, (in_dim, out_dim), rng),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
@@ -83,13 +81,7 @@ class LinearLayer:
         yield "bias", self.bias
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"linear: input last dim {x.shape[-1]} != {self.in_dim}")
-        if x.ndim == 1:
-            y = ad.matmul(ad.reshape(x, (1, self.in_dim)), self.weight)
-            return ad.add(ad.reshape(y, (self.out_dim,)), self.bias)
-        y = ad.matmul(x, self.weight)
-        return ad.add(y, ad.expand(self.bias, y.shape))
+        return ad.linear(x, self.weight, self.bias)
 
 
 _ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
@@ -218,8 +210,7 @@ class LSTMStack:
             outs = []
             for t in range(n):
                 x_t = seq[(Ellipsis, t, slice(None))]
-                z = ad.add(ad.matmul(ad.concat([x_t, h], axis=-1), w),
-                           ad.expand(b, batch + (4 * hid,)))
+                z = ad.linear(ad.concat([x_t, h], axis=-1), w, b)
                 i_g = ad.sigmoid(z[(Ellipsis, slice(0, hid))])
                 f_g = ad.sigmoid(z[(Ellipsis, slice(hid, 2 * hid))])
                 g_g = ad.tanh(z[(Ellipsis, slice(2 * hid, 3 * hid))])

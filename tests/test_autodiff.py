@@ -166,6 +166,103 @@ class TestBackward:
         assert a == b
 
 
+class TestAccumulation:
+    """Sparse slice gradients and in-place sums must give the same gradients."""
+
+    def test_slices_and_dense_uses_share_a_parent(self, rng):
+        p = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+        c = Tensor(rng.uniform(-1, 1, (4, 3)))
+
+        def f():
+            x = ad.tanh(p)  # interior, so its pending gradient is summed in place
+            terms = [ad.reduce_sum(ad.mul(x, c))]
+            terms += [ad.reduce_sum(ad.square(x[i])) for i in range(4)]
+            terms += [ad.reduce_sum(ad.square(x[1:3, ::2])), ad.reduce_sum(ad.exp(x))]
+            total = terms[0]
+            for t in terms[1:]:
+                total = ad.add(total, t)
+            return total
+
+        assert ad.grad_check(f, [p], epsilon=1e-5) < 1e-6
+
+    def test_fancy_index_repeats_accumulate(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        idx = np.array([0, 2, 2, 2])
+        w = Tensor([1.0, 2.0, 3.0, 4.0])
+        loss = ad.add(ad.reduce_sum(ad.mul(x[idx], w)), ad.reduce_sum(x[1:3]))
+        ad.backward(loss)
+        assert np.array_equal(x.grad, [1.0, 1.0, 10.0, 0.0])
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_add_of_self_leaves_shared_gradient_intact(self, rng, swap):
+        p = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        q = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+
+        def f():
+            # add hands one gradient array to both operands; x + x then reaches
+            # x twice while z still holds that same array
+            x, z = ad.tanh(p), ad.sigmoid(q)
+            w = ad.add(x, x)
+            y = ad.add(z, w) if swap else ad.add(w, z)
+            return ad.reduce_sum(ad.square(y))
+
+        assert ad.grad_check(f, [p, q], epsilon=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_reshape_input_with_another_consumer(self, rng, swap):
+        p = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        q = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
+        c = Tensor(rng.uniform(-1, 1, (2, 3)))
+
+        def f():
+            # a gets a view of the gradient z holds, and z is swept after a
+            z = ad.sigmoid(q)
+            a = ad.tanh(ad.mul(ad.reshape(z, (2, 3)), p))
+            sq = ad.reduce_sum(ad.square(ad.add(ad.reshape(a, (6,)), z)))
+            lin = ad.reduce_sum(ad.mul(a, c))
+            return ad.add(lin, sq) if swap else ad.add(sq, lin)
+
+        assert ad.grad_check(f, [p, q], epsilon=1e-5) < 1e-6
+
+    def test_two_backward_calls_sum_into_grad(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        loss = ad.reduce_sum(ad.square(x[0:2]))
+        grads = ad.backward(loss)
+        first = x.grad
+        assert set(grads) == {id(x)}
+        ad.backward(loss)
+        assert np.array_equal(x.grad, [4.0, -8.0, 0.0])
+        assert np.array_equal(first, [2.0, -4.0, 0.0])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 4, 3)])
+    def test_gradients_match_finite_differences(self, rng, shape):
+        x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
+        assert ad.grad_check(lambda: ad.reduce_sum(ad.tanh(ad.linear(x, w, b))),
+                             [x, w, b], epsilon=1e-5) < 1e-6
+
+    def test_forward_and_bias_gradient_over_batch_axes(self, rng):
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
+        w = Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
+        c = rng.uniform(-1, 1, (2, 4, 5))
+        y = ad.linear(x, w, b)
+        assert y.op == "linear"
+        assert np.array_equal(y.data, np.matmul(x.data, w.data) + b.data)
+        ad.backward(ad.reduce_sum(ad.mul(y, Tensor(c))))
+        assert np.allclose(b.grad, c.sum(axis=(0, 1)), atol=1e-15)
+        assert np.allclose(w.grad, np.einsum("bti,btj->ij", x.data, c), atol=1e-14)
+
+    def test_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
+
+
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "relu", "exp",
                                 "square", "sigmoid", "softmax", "matmul"])
 def test_op_gradients_match_finite_differences(op, rng):

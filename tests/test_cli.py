@@ -167,6 +167,21 @@ class TestTrain:
         assert r.returncode == 5
         assert "traj_0003.csv" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("f0", [[1.0, 2.0, 3.0], [1.0, float("nan")]],
+                             ids=["three_values", "nan"])
+    def test_bad_manifest_f0_exit_5(self, dataset_dir, tmp_path, f0):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["trajectories"][0]["f0"] = f0
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert manifest["trajectories"][0]["file"] in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "t"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,16 @@ class TestDiskFormat:
         cells[3] = "garbage"
         rows[2] = ",".join(cells)
         path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="traj_0001.csv"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("f0", ["garbage", {"x": 1.0}, [[1.0, 2.0]]],
+                             ids=["text", "object", "matrix"])
+    def test_malformed_manifest_f0_rejected(self, tmp_path, f0):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["trajectories"][1]["f0"] = f0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="traj_0001.csv"):
             load_dataset(tmp_path)
 

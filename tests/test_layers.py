@@ -40,6 +40,12 @@ class TestLinear:
         assert out1.shape == (2,)
         assert np.allclose(out1.data, out2.data[0])
 
+    def test_wrong_input_width(self, rng):
+        layer = LinearLayer(3, 2, rng)
+        for shape in [(4,), (2, 4), (2, 5, 2)]:
+            with pytest.raises(ShapeError):
+                layer(Tensor(np.zeros(shape)))
+
     def test_hand_value(self, rng):
         layer = LinearLayer(2, 1, rng)
         layer.weight.data = np.array([[2.0], [3.0]])
