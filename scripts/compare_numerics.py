@@ -3,16 +3,20 @@
 
 Each tree runs in its own interpreter and dumps a fixed set of results:
 forecasts, every parameter gradient and the tape-node count of an MSE loss,
-adjoint kernel gradients and dL/dF0, attention weights, datasets read back from
-disk, and benchmark report files. The cases are the attention, mlp and lstm
-encoders x euler and rk4 x fitted and identity normalisers on Task 1.2 and
-Task 2 data, plus causal, positional-encoding and time-input attention models.
+adjoint kernel gradients and dL/dF0, attention weights, the raw bytes of every
+dataset file written (trajectory CSVs and manifest.json), the datasets read
+back from disk, benchmark report files, and prediction CSVs. Datasets cover
+Tasks 1.1 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The
+model cases are the attention, mlp and lstm encoders x euler and rk4 x fitted
+and identity normalisers on Task 1.2 and Task 2 data, plus causal,
+positional-encoding and time-input attention models.
 
-Forecasts, attention weights, datasets and report files must be
-byte-identical. Parameter gradients and adjoint outputs may differ by float64
-round-off from a reordered summation (a fused op adds a bias gradient's terms
-in another order): at most 1e-14 times the array's largest magnitude, or 1e-14
-absolute where that is below 1. Tape-node counts may fall but must not rise.
+Forecasts, attention weights, dataset files and arrays, report files and
+prediction CSVs must be byte-identical. Parameter gradients and adjoint outputs
+may differ by float64 round-off from a reordered summation (a fused op adds a
+bias gradient's terms in another order): at most 1e-14 times the array's
+largest magnitude, or 1e-14 absolute where that is below 1. Tape-node counts
+may fall but must not rise.
 
     python scripts/compare_numerics.py --base path/to/old/src --head src
 """
@@ -22,9 +26,11 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
+DATA_TASKS = {"1.1": {"num_trajectories": 4, "length": 30}, "1.3": {"num_trajectories": 6}}
 TASKS = {"1.2": {"num_trajectories": 6}, "2": {"num_trajectories": 4, "length": 80}}
 BATCH = 3
 VARIANTS = {"causal": {"causal_attention": True},
@@ -83,6 +89,7 @@ def _model_case(hf, out, key, ds, cfg, fitted):
 
 def dump(path) -> None:
     import hydroforecast.autodiff
+    import hydroforecast.cli
     import hydroforecast.evalbench
     import hydroforecast.hydrodata
     import hydroforecast.models
@@ -91,12 +98,17 @@ def dump(path) -> None:
     hf = hydroforecast
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for task, kwargs in TASKS.items():
+        for task, kwargs in {**DATA_TASKS, **TASKS}.items():
             ds = hf.hydrodata.generate(task, seed=0, **kwargs)
-            hf.hydrodata.save_dataset(ds, os.path.join(tmp, task))
-            for j, rec in enumerate(hf.hydrodata.load_dataset(os.path.join(tmp, task)).records):
+            datadir = Path(tmp, task)
+            hf.hydrodata.save_dataset(ds, datadir)
+            for f in sorted(datadir.iterdir()):
+                out[f"data/{task}/file/{f.name}"] = np.frombuffer(f.read_bytes(), np.uint8)
+            for j, rec in enumerate(hf.hydrodata.load_dataset(datadir).records):
                 for field in ("times", "conditions", "forces", "f0", "condition_ids"):
                     out[f"data/{task}/{j}/{field}"] = getattr(rec, field)
+            if task not in TASKS:
+                continue
             base = {"n_in": ds.n, "f_out": ds.f, "dt": ds.dt}
             for encoder in ("attention", "mlp", "lstm-baseline"):
                 for solver in ("euler", "rk4"):
@@ -121,6 +133,13 @@ def dump(path) -> None:
             for p in ev.emit_report(table, os.path.join(tmp, f"report{timing}"),
                                     include_timing=timing):
                 out[f"report/{timing}/{p.name}"] = np.frombuffer(p.read_bytes(), np.uint8)
+        pred_dir = Path(tmp, "pred")
+        pred_dir.mkdir()
+        ds = hf.hydrodata.generate("2", seed=0, num_trajectories=2, length=40)
+        hf.cli._write_prediction_csvs(pred_dir, ds, np.random.default_rng(3).normal(
+            size=(2, ds.length, ds.f)))
+        for p in sorted(pred_dir.iterdir()):
+            out[f"predict/{p.name}"] = np.frombuffer(p.read_bytes(), np.uint8)
     np.savez(path, **out)
 
 

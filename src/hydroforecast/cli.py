@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
@@ -25,6 +23,7 @@ EXIT_DIVERGED = 4
 EXIT_CORRUPT = 5
 
 MODEL_FLAGS = {"attention-ode": "attention", "mlp-ode": "mlp", "lstm": "lstm-baseline"}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CliError(Exception):
@@ -59,6 +58,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
+    merged["threads"] = args.threads  # applied by main() before numpy loads
     return merged
 
 
@@ -212,14 +212,11 @@ def _predict_split(model, subset):
 
 
 def _write_prediction_csvs(out: Path, subset, pred) -> None:
-    f = subset.f
+    import numpy as np
+    header = ",".join(["t"] + [f"Fhat_{i}" for i in range(subset.f)])
     for j, rec in enumerate(subset.records):
-        header = ["t"] + [f"Fhat_{i}" for i in range(f)]
-        lines = [",".join(header)]
-        for i in range(subset.length):
-            lines.append(",".join([f"{rec.times[i]:.17g}"]
-                                  + [f"{v:.17g}" for v in pred[j, i]]))
-        (out / f"pred_{j:04d}.csv").write_text("\n".join(lines) + "\n")
+        np.savetxt(out / f"pred_{j:04d}.csv", np.column_stack([rec.times, pred[j]]),
+                   fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def cmd_predict(args, with_metrics: bool = False) -> int:
@@ -306,6 +303,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    import numpy as np
+
     from . import autodiff as ad, training as tr
     from .autodiff import Tensor
     from .models import ModelConfig, build_model
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; 1 guarantees determinism")
+                       help="BLAS and OpenMP threads, set before numpy loads")
         p.add_argument("--out")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -422,6 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    for var in THREAD_VARS:  # read once, when a subcommand first imports numpy
+        os.environ[var] = str(args.threads)
     try:
         code = args.func(args)
     except CliError as e:

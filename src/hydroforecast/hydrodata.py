@@ -57,33 +57,61 @@ class OracleParams:
 
 @dataclass
 class TowingCondition:
-    """Joint angles shared across legs (scalars) or per leg (length-4 arrays)."""
+    """Towing conditions along leading row axes: ``v`` and ``omega`` are ``[..., 3]``,
+    ``q2`` and ``q3`` broadcast to ``[..., legs]`` (a scalar is shared by every leg),
+    and ``rho``, a scalar or ``[...]``, overrides ``OracleParams.rho`` when set."""
     q2: np.ndarray | float
     q3: np.ndarray | float
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
     omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rho: float | None = None  # overrides OracleParams.rho when set
+    rho: np.ndarray | float | None = None
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Norm over the last axis, rounded as ``np.linalg.norm`` rounds one row."""
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
 
 
 def steady_wrench(cond: TowingCondition, p: OracleParams) -> np.ndarray:
-    """Quasi-static drag wrench (Fx, Fy, Fz, Tx, Ty, Tz) in SI units."""
-    rho = p.rho if cond.rho is None else cond.rho
+    """Quasi-static drag wrench (Fx, Fy, Fz, Tx, Ty, Tz) in SI units, ``[..., 6]``.
+
+    Each row equals the one-row call on that row's condition bit for bit.
+    """
+    rho = np.asarray(p.rho if cond.rho is None else cond.rho, dtype=np.float64)[..., None]
     cd = np.asarray(p.cd)
     v = np.asarray(cond.v, dtype=np.float64)
     omega = np.asarray(cond.omega, dtype=np.float64)
     a0, a1, a2 = p.leg_area_coeffs
-    q2 = np.broadcast_to(np.asarray(cond.q2, dtype=np.float64), (len(p.lever_arms),))
-    q3 = np.broadcast_to(np.asarray(cond.q3, dtype=np.float64), (len(p.lever_arms),))
-    force = -0.5 * rho * cd * np.asarray(p.body_area) * np.linalg.norm(v) * v
+    q2, q3 = (np.atleast_1d(np.asarray(q, dtype=np.float64)) for q in (cond.q2, cond.q3))
+    area = a0 + a1 * np.abs(np.sin(q2)) + a2 * np.abs(np.sin(q2 + q3))
+    area = np.broadcast_to(area, area.shape[:-1] + (len(p.lever_arms),))
+    force = -0.5 * rho * cd * np.asarray(p.body_area) * _row_norm(v) * v
     torque = np.zeros(3)
     for k, arm in enumerate(p.lever_arms):
         r_k = np.asarray(arm)
-        area_k = a0 + a1 * abs(math.sin(q2[k])) + a2 * abs(math.sin(q2[k] + q3[k]))
         v_k = v + np.cross(omega, r_k)
-        f_k = -0.5 * rho * cd * area_k * np.linalg.norm(v_k) * v_k
+        f_k = -0.5 * rho * cd * area[..., k, None] * _row_norm(v_k) * v_k
         force = force + f_k
         torque = torque + np.cross(r_k, f_k)
-    return np.concatenate([force, torque])
+    return np.concatenate([force, torque], axis=-1)
+
+
+def _relax(targets: np.ndarray, w_init: np.ndarray, dt: float, tau: float,
+           substeps: int = 4) -> np.ndarray:
+    """``simulate_measured_wrench`` on ``[..., L, 6]`` targets and ``[..., 6]`` w_init."""
+    w = np.asarray(w_init, dtype=np.float64)
+    h = dt / substeps
+    out = np.empty_like(targets)
+    for i in range(targets.shape[-2]):
+        ss = targets[..., i, :]
+        for _ in range(substeps):
+            k1 = (ss - w) / tau
+            k2 = (ss - (w + 0.5 * h * k1)) / tau
+            k3 = (ss - (w + 0.5 * h * k2)) / tau
+            k4 = (ss - (w + h * k3)) / tau
+            w = w + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[..., i, :] = w
+    return out
 
 
 def simulate_measured_wrench(conditions: list[TowingCondition], p: OracleParams,
@@ -95,25 +123,9 @@ def simulate_measured_wrench(conditions: list[TowingCondition], p: OracleParams,
     the i-th condition zero-order held. ``w_init`` defaults to the steady
     wrench of the first condition.
     """
-    memo: dict[int, np.ndarray] = {}  # ZOH segments reuse one condition object
-    for c in conditions:
-        if id(c) not in memo:
-            memo[id(c)] = steady_wrench(c, p)
-    targets = np.stack([memo[id(c)] for c in conditions])
-    w = targets[0].copy() if w_init is None else np.asarray(w_init, dtype=np.float64).copy()
-    tau = p.tau_relax
-    h = dt / substeps
-    out = np.empty_like(targets)
-    for i in range(len(conditions)):
-        ss = targets[i]
-        for _ in range(substeps):
-            k1 = (ss - w) / tau
-            k2 = (ss - (w + 0.5 * h * k1)) / tau
-            k3 = (ss - (w + 0.5 * h * k2)) / tau
-            k4 = (ss - (w + h * k3)) / tau
-            w = w + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = w
-    return out
+    targets = np.stack([steady_wrench(c, p) for c in conditions])
+    return _relax(targets, targets[0] if w_init is None else w_init, dt, p.tau_relax,
+                  substeps)
 
 
 # ---- dataset containers --------------------------------------------------
@@ -201,29 +213,23 @@ def gen_task1(variant: str, num_conditions: int = 192, length: int | None = None
         length = 100 if variant == "static" else 50
     if variant != "static" and length % SEGMENT_LEN != 0:
         raise ValueError(f"switching length must be a multiple of {SEGMENT_LEN}")
-    records = []
-    for j in range(num_conditions):
-        times = dt * np.arange(1, length + 1)
-        if variant == "static":
-            entry = grid[j]
-            conds = [entry["cond"]] * length
-            inputs = np.tile(entry["input"], (length, 1))
-            cond_ids = np.full(length, j, dtype=np.int64)
-            w_init = np.zeros(6)  # towed from rest: the transient is the signal
-            direction = entry["direction"]
-        else:
-            rng = _traj_rng(seed, j, 0)
-            seg_ids = rng.choice(len(grid), size=length // SEGMENT_LEN, replace=False)
-            cond_ids = np.repeat(seg_ids, SEGMENT_LEN).astype(np.int64)
-            conds = [grid[c]["cond"] for c in cond_ids]
-            inputs = np.stack([grid[c]["input"] for c in cond_ids])
-            w_init = steady_wrench(conds[0], p)
-            direction = grid[seg_ids[0]]["direction"]
-        forces6 = simulate_measured_wrench(conds, p, dt=dt, w_init=w_init)
-        records.append(TrajectoryRecord(times=times, conditions=inputs,
-                                        forces=forces6[:, :2].copy(),
-                                        f0=w_init[:2].copy(),
-                                        condition_ids=cond_ids, direction=direction))
+    inputs = np.stack([g["input"] for g in grid])  # q2, q3, vx, vy
+    steady = steady_wrench(TowingCondition(q2=inputs[:, :1], q3=inputs[:, 1:2],
+                                           v=np.stack([g["cond"].v for g in grid])), p)
+    if variant == "static":
+        cond_ids = np.repeat(np.arange(num_conditions)[:, None], length, axis=1)
+        w_init = np.zeros((num_conditions, 6))  # towed from rest: the transient is the signal
+    else:
+        seg_ids = np.stack([_traj_rng(seed, j, 0).choice(len(grid), size=length // SEGMENT_LEN,
+                                                          replace=False)
+                            for j in range(num_conditions)])
+        cond_ids = np.repeat(seg_ids, SEGMENT_LEN, axis=1)
+        w_init = steady[cond_ids[:, 0]]
+    forces6 = _relax(steady[cond_ids], w_init, dt, p.tau_relax)
+    records = [TrajectoryRecord(times=dt * np.arange(1, length + 1), conditions=inputs[ids],
+                                forces=forces6[j, :, :2], f0=w_init[j, :2],
+                                condition_ids=ids, direction=grid[ids[0]]["direction"])
+               for j, ids in enumerate(cond_ids)]
     ds = TrajectoryDataset(task="1." + {"static": "1", "switching": "2", "noisy": "3"}[variant],
                            variant=variant, n=4, f=2, length=length, dt=dt, seed=seed,
                            noise_fraction=noise_fraction if variant == "noisy" else 0.0,
@@ -248,73 +254,57 @@ def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT
         raise ValueError("task 2 length must be >= 40")
     if length % SEGMENT_LEN != 0:
         raise ValueError(f"task 2 length must be a multiple of {SEGMENT_LEN}")
+    if num_trajectories < 1:
+        raise ValueError("task 2 needs at least one trajectory")
     p = params or OracleParams()
     num_segments = length // SEGMENT_LEN
-    records = []
+    draws = []
     for j in range(num_trajectories):
         rng = _traj_rng(seed, j, 2)
-        times = dt * np.arange(1, length + 1)
-        t = times
+        draws.append((rng.uniform(0.6, 1.2), rng.uniform(0.7, 1.3),
+                      rng.normal(0.0, 0.05 * math.sqrt(dt), (length, 3)),
+                      rng.uniform(0.2, 0.5, num_segments),
+                      rng.uniform(0.0, 2 * math.pi, num_segments),
+                      rng.uniform(-0.05, 0.05, num_segments), rng.uniform(950.0, 1050.0)))
+    freq, amp_scale, steps_noise, seg_speed, seg_angle, seg_vz, density = (
+        np.array(d) for d in zip(*draws))
+    times = dt * np.arange(1, length + 1)
 
-        # sinusoidal gait: 4 legs x (hip, thigh, calf), per-leg phase offsets
-        freq = rng.uniform(0.6, 1.2)
-        leg_phases = np.array([0.0, math.pi, math.pi / 2, 3 * math.pi / 2])
-        means = np.array([0.0, 0.6, -1.2])
-        amps = np.array([0.2, 0.4, 0.4]) * rng.uniform(0.7, 1.3)
-        ang = 2 * math.pi * freq
-        joint_pos = np.empty((length, 12))
-        joint_vel = np.empty((length, 12))
-        for leg in range(4):
-            for joint in range(3):
-                phase = leg_phases[leg] + joint * 0.3
-                col = 3 * leg + joint
-                joint_pos[:, col] = means[joint] + amps[joint] * np.sin(ang * t + phase)
-                joint_vel[:, col] = amps[joint] * ang * np.cos(ang * t + phase)
+    # sinusoidal gait: 4 legs x (hip, thigh, calf), per-leg phase offsets
+    phases = (np.array([0.0, math.pi, math.pi / 2, 3 * math.pi / 2])[:, None]
+              + np.arange(3) * 0.3).ravel()
+    amps = np.tile(np.array([0.2, 0.4, 0.4]) * amp_scale[:, None], 4)[:, None]
+    ang = (2 * math.pi * freq)[:, None, None]
+    joint_pos = np.tile([0.0, 0.6, -1.2], 4) + amps * np.sin(ang * times[:, None] + phases)
+    joint_vel = amps * ang * np.cos(ang * times[:, None] + phases)
 
-        # small damped random walk for angular velocity
-        omega = np.empty((length, 3))
-        w = np.zeros(3)
-        steps_noise = rng.normal(0.0, 0.05 * math.sqrt(dt), (length, 3))
-        for i in range(length):
-            w = 0.98 * w + steps_noise[i]
-            omega[i] = w
+    # small damped random walk for angular velocity, and a unit quaternion
+    # integrated from it
+    omega = np.empty((num_trajectories, length, 3))
+    quat = np.empty((num_trajectories, length, 4))
+    w = np.zeros((num_trajectories, 3))
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (num_trajectories, 1))
+    for i in range(length):
+        w = 0.98 * w + steps_noise[:, i]
+        (wx, wy, wz), (q0, q1, q2, q3) = w.T, q.T
+        dq = 0.5 * np.stack([-q1 * wx - q2 * wy - q3 * wz, q0 * wx + q2 * wz - q3 * wy,
+                             q0 * wy - q1 * wz + q3 * wx, q0 * wz + q1 * wy - q2 * wx], axis=-1)
+        q = q + dt * dq
+        q = q / _row_norm(q)
+        omega[:, i], quat[:, i] = w, q
 
-        # unit quaternion integrated from omega
-        quat = np.empty((length, 4))
-        q = np.array([1.0, 0.0, 0.0, 0.0])
-        for i in range(length):
-            wx, wy, wz = omega[i]
-            dq = 0.5 * np.array([
-                -q[1] * wx - q[2] * wy - q[3] * wz,
-                q[0] * wx + q[2] * wz - q[3] * wy,
-                q[0] * wy - q[1] * wz + q[3] * wx,
-                q[0] * wz + q[1] * wy - q[2] * wx,
-            ])
-            q = q + dt * dq
-            q = q / np.linalg.norm(q)
-            quat[i] = q
-
-        # piecewise-constant linear velocity, one draw per 10-step segment
-        seg_speed = rng.uniform(0.2, 0.5, num_segments)
-        seg_angle = rng.uniform(0.0, 2 * math.pi, num_segments)
-        seg_vz = rng.uniform(-0.05, 0.05, num_segments)
-        seg_v = np.stack([seg_speed * np.cos(seg_angle),
-                          seg_speed * np.sin(seg_angle), seg_vz], axis=1)
-        cond_ids = np.repeat(np.arange(num_segments), SEGMENT_LEN).astype(np.int64)
-        lin_vel = seg_v[cond_ids]
-
-        density = float(rng.uniform(950.0, 1050.0))
-        dens_col = np.full((length, 1), density)
-
-        inputs = np.concatenate([joint_pos, joint_vel, quat, omega, lin_vel, dens_col],
-                                axis=1)
-        conds = [TowingCondition(q2=joint_pos[i, 1::3], q3=joint_pos[i, 2::3],
-                                 v=lin_vel[i], omega=omega[i], rho=density)
-                 for i in range(length)]
-        w_init = steady_wrench(conds[0], p)
-        forces = simulate_measured_wrench(conds, p, dt=dt, w_init=w_init)
-        records.append(TrajectoryRecord(times=times, conditions=inputs, forces=forces,
-                                        f0=w_init.copy(), condition_ids=cond_ids))
+    # piecewise-constant linear velocity, one draw per 10-step segment
+    cond_ids = np.repeat(np.arange(num_segments), SEGMENT_LEN)
+    lin_vel = np.stack([seg_speed * np.cos(seg_angle), seg_speed * np.sin(seg_angle), seg_vz],
+                       axis=-1)[:, cond_ids]
+    dens_col = np.broadcast_to(density[:, None, None], (num_trajectories, length, 1))
+    inputs = np.concatenate([joint_pos, joint_vel, quat, omega, lin_vel, dens_col], axis=-1)
+    targets = steady_wrench(TowingCondition(q2=joint_pos[..., 1::3], q3=joint_pos[..., 2::3],
+                                            v=lin_vel, omega=omega, rho=density[:, None]), p)
+    forces = _relax(targets, targets[:, 0], dt, p.tau_relax)
+    records = [TrajectoryRecord(times=times, conditions=x, forces=fr, f0=fr0,
+                                condition_ids=cond_ids)
+               for x, fr, fr0 in zip(inputs, forces, targets[:, 0])]
     ds = TrajectoryDataset(task="2", variant="task2", n=35, f=6, length=length, dt=dt,
                            seed=seed, noise_fraction=noise_fraction, oracle=p,
                            records=records)
@@ -388,24 +378,17 @@ def split_dataset(ds: TrajectoryDataset, ratios: tuple[float, float, float] = (0
 # ---- disk format ---------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def save_dataset(ds: TrajectoryDataset, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    header = ",".join(["t"] + [f"x_{i}" for i in range(ds.n)]
+                      + [f"F_{i}" for i in range(ds.f)] + ["cond_id"])
+    fmt = ["%.17g"] * (1 + ds.n + ds.f) + ["%d"]
     traj_meta = []
     for j, rec in enumerate(ds.records):
         name = f"traj_{j:04d}.csv"
-        header = (["t"] + [f"x_{i}" for i in range(ds.n)]
-                  + [f"F_{i}" for i in range(ds.f)] + ["cond_id"])
-        lines = [",".join(header)]
-        for i in range(ds.length):
-            row = ([_fmt(rec.times[i])] + [_fmt(v) for v in rec.conditions[i]]
-                   + [_fmt(v) for v in rec.forces[i]] + [str(int(rec.condition_ids[i]))])
-            lines.append(",".join(row))
-        (out / name).write_text("\n".join(lines) + "\n")
+        table = np.column_stack([rec.times, rec.conditions, rec.forces, rec.condition_ids])
+        np.savetxt(out / name, table, fmt=fmt, delimiter=",", header=header, comments="")
         entry = {"file": name, "f0": [float(v) for v in rec.f0]}
         if rec.direction is not None:
             entry["direction"] = rec.direction
@@ -448,6 +431,8 @@ def load_dataset(indir) -> TrajectoryDataset:
         if raw.shape != (manifest["L"], 2 + n + f) or not np.all(np.isfinite(raw)):
             raise ValueError(f"trajectory file {path} is not a finite "
                              f"{manifest['L']}x{2 + n + f} table (got {raw.shape})")
+        if np.any(raw[:, -1] != np.trunc(raw[:, -1])):
+            raise ValueError(f"trajectory file {path} has a cond_id that is not an integer")
         try:
             f0 = np.asarray(entry["f0"], dtype=np.float64)
         except (TypeError, ValueError):
@@ -462,9 +447,20 @@ def load_dataset(indir) -> TrajectoryDataset:
             f0=f0,
             condition_ids=raw[:, -1].astype(np.int64),
             direction=entry.get("direction")))
+    splits = manifest.get("splits")
+    try:
+        listed = [i for ids in (splits or {}).values() for i in ids]
+    except (AttributeError, TypeError):
+        raise ValueError(f"{manifest_path}: splits is not a map of index lists") from None
+    seen: set[int] = set()
+    for i in listed:
+        if type(i) is not int or not 0 <= i < len(records) or i in seen:
+            raise ValueError(f"{manifest_path}: split index {i!r} is not an integer in "
+                             f"[0, {len(records)}) or is listed more than once")
+        seen.add(i)
     return TrajectoryDataset(
         task=manifest["task"], variant=manifest["variant"], n=manifest["n"],
         f=manifest["f"], length=manifest["L"], dt=manifest["dt"],
         seed=manifest["seed"], noise_fraction=manifest["noise_fraction"],
         oracle=OracleParams.from_dict(manifest["oracle_params"]),
-        records=records, splits=manifest.get("splits"))
+        records=records, splits=splits)

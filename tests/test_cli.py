@@ -182,6 +182,35 @@ class TestTrain:
         assert manifest["trajectories"][0]["file"] in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("edit", ["out_of_range", "negative", "in_two_splits",
+                                      "not_integer"])
+    def test_bad_manifest_splits_exit_5(self, dataset_dir, tmp_path, edit):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        splits = manifest["splits"]
+        splits["val"].append({"out_of_range": 99, "negative": -1, "not_integer": 1.5,
+                              "in_two_splits": splits["train"][0]}[edit])
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
+
+    def test_fractional_cond_id_exit_5(self, dataset_dir, tmp_path):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        path = broken / "traj_0000.csv"
+        rows = path.read_text().splitlines()
+        rows[1] = rows[1].rsplit(",", 1)[0] + ",3.7"
+        path.write_text("\n".join(rows) + "\n")
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert "traj_0000.csv" in r.stderr and "Traceback" not in r.stderr
+
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "t"))
@@ -280,6 +309,33 @@ class TestGradcheck:
     def test_steps_out_of_range(self):
         r = run_cli("gradcheck", "--steps", "500")
         assert r.returncode == 2
+
+
+class TestThreads:
+    def test_sets_thread_variables_before_numpy_loads(self, tmp_path):
+        script = (
+            "import json, os, sys\n"
+            "from hydroforecast import cli\n"
+            "before = 'numpy' in sys.modules\n"
+            f"code = cli.main(['gen-data', '--task', '1.1', '--trajectories', '12',"
+            f" '--length', '5', '--threads', '2', '--out', {str(tmp_path / 'd')!r}])\n"
+            "print(json.dumps({'numpy_before': before, 'code': code,"
+            " 'env': [os.environ[v] for v in cli.THREAD_VARS]}))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="7", OMP_NUM_THREADS="7",
+                   MKL_NUM_THREADS="7")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=env, timeout=600)
+        assert r.returncode == 0, r.stderr
+        result = json.loads(r.stdout.splitlines()[-1])
+        assert result == {"numpy_before": False, "code": 0, "env": ["2", "2", "2"]}
+        resolved = json.loads((tmp_path / "d" / "resolved_config.json").read_text())
+        assert resolved["threads"] == 2
+
+    def test_zero_threads_rejected(self, tmp_path):
+        r = run_cli("gen-data", "--task", "1.1", "--threads", "0",
+                    "--out", str(tmp_path / "d"))
+        assert r.returncode == 2
+        assert "--threads" in r.stderr
 
 
 class TestUsage:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from hydroforecast.hydrodata import (
     OracleParams,
     TowingCondition,
+    _inject_noise,
     gen_task1,
     gen_task2,
     generate,
@@ -13,6 +16,7 @@ from hydroforecast.hydrodata import (
     save_dataset,
     simulate_measured_wrench,
     split_dataset,
+    steady_wrench,
     task1_condition_grid,
 )
 
@@ -73,6 +77,80 @@ class TestSteadyWrench:
         w_light = steady_wrench(TowingCondition(q2=0.0, q3=0.0, v=v, rho=500.0),
                                 OracleParams())
         assert np.allclose(w_light, 0.5 * w_default, atol=1e-12)
+
+
+def _steady_wrench_one_row(cond, p):
+    """Scalar-math form of the oracle for one row, the reference for the array one."""
+    rho = p.rho if cond.rho is None else cond.rho
+    cd = np.asarray(p.cd)
+    v, omega = np.asarray(cond.v), np.asarray(cond.omega)
+    a0, a1, a2 = p.leg_area_coeffs
+    q2 = np.broadcast_to(cond.q2, (len(p.lever_arms),))
+    q3 = np.broadcast_to(cond.q3, (len(p.lever_arms),))
+    force = -0.5 * rho * cd * np.asarray(p.body_area) * np.linalg.norm(v) * v
+    torque = np.zeros(3)
+    for k, arm in enumerate(p.lever_arms):
+        r_k = np.asarray(arm)
+        area_k = a0 + a1 * abs(math.sin(q2[k])) + a2 * abs(math.sin(q2[k] + q3[k]))
+        v_k = v + np.cross(omega, r_k)
+        f_k = -0.5 * rho * cd * area_k * np.linalg.norm(v_k) * v_k
+        force = force + f_k
+        torque = torque + np.cross(r_k, f_k)
+    return np.concatenate([force, torque])
+
+
+class TestBatchedOracle:
+    """The array oracle against one-row references, bit for bit."""
+
+    @pytest.mark.parametrize("shared_angle", [False, True], ids=["per_leg", "shared"])
+    @pytest.mark.parametrize("row_rho", [False, True], ids=["param_rho", "row_rho"])
+    def test_rows_equal_one_row_calls(self, rng, shared_angle, row_rho):
+        shape = (7, 5)
+        q2 = rng.uniform(-2.6, 2.6, shape + ((1,) if shared_angle else (4,)))
+        q3 = rng.uniform(-2.6, 2.6, q2.shape)
+        v = rng.uniform(-0.5, 0.5, shape + (3,))
+        omega = rng.normal(0.0, 0.3, shape + (3,))
+        rho = rng.uniform(950.0, 1050.0, shape) if row_rho else None
+        p = OracleParams()
+        batched = steady_wrench(TowingCondition(q2=q2, q3=q3, v=v, omega=omega, rho=rho), p)
+        assert batched.shape == shape + (6,)
+        for idx in np.ndindex(*shape):
+            one = TowingCondition(q2=float(q2[idx][0]) if shared_angle else q2[idx],
+                                  q3=float(q3[idx][0]) if shared_angle else q3[idx],
+                                  v=v[idx], omega=omega[idx],
+                                  rho=None if rho is None else float(rho[idx]))
+            assert np.array_equal(batched[idx], steady_wrench(one, p)), idx
+            assert np.array_equal(batched[idx], _steady_wrench_one_row(one, p)), idx
+
+    @staticmethod
+    def _row_by_row(ds):
+        """The dataset's forces rebuilt with one TowingCondition per row."""
+        p, records = ds.oracle, []
+        for rec in ds.records:
+            x = rec.conditions
+            if ds.task == "2":
+                conds = [TowingCondition(q2=r[1:12:3], q3=r[2:12:3], v=r[31:34],
+                                         omega=r[28:31], rho=r[34]) for r in x]
+            else:
+                conds = [TowingCondition(q2=r[0], q3=r[1], v=np.array([r[2], r[3], 0.0]))
+                         for r in x]
+            w_init = np.zeros(6) if ds.task == "1.1" else None
+            forces = simulate_measured_wrench(conds, p, dt=ds.dt, w_init=w_init)
+            f0 = np.zeros(6) if w_init is not None else steady_wrench(conds[0], p)
+            records.append(dataclasses.replace(rec, forces=forces[:, :ds.f], f0=f0[:ds.f]))
+        ref = dataclasses.replace(ds, records=records)
+        if ds.noise_fraction > 0:
+            _inject_noise(ref, ds.seed, ds.noise_fraction)
+        return ref
+
+    @pytest.mark.parametrize("task,m,length", [("1.1", 6, 30), ("1.2", 6, 50),
+                                               ("1.3", 8, 40), ("2", 3, 60)])
+    def test_generate_equals_row_by_row_reference(self, task, m, length):
+        ds = generate(task, seed=7, num_trajectories=m, length=length)
+        ref = self._row_by_row(ds)
+        for rec, want in zip(ds.records, ref.records):
+            assert np.array_equal(rec.forces, want.forces)
+            assert np.array_equal(rec.f0, want.f0)
 
 
 class TestRelaxation:
@@ -191,6 +269,10 @@ class TestTask2:
         assert rec.forces.shape == (400, 6)
         assert rec.f0.shape == (6,)
         assert len(np.unique(rec.condition_ids)) == 40
+
+    def test_no_trajectories_rejected(self):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            gen_task2(num_trajectories=0, length=40, noise_fraction=0.0)
 
     def test_quaternion_is_unit(self):
         ds = gen_task2(num_trajectories=2, length=100)
