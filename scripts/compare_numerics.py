@@ -9,7 +9,10 @@ back from disk, benchmark report files, and prediction CSVs. Datasets cover
 Tasks 1.1 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The
 model cases are the attention, mlp and lstm encoders x euler and rk4 x fitted
 and identity normalisers on Task 1.2 and Task 2 data, plus causal,
-positional-encoding and time-input attention models.
+positional-encoding and time-input attention models. Layer cases cover calls
+that no model makes: a relu MLPBlock on 1-d and 3-d input and an LSTMStack fed
+one unbatched 2-d sequence, each with its output, parameter and input gradients
+and tape-node count.
 
 Forecasts, attention weights, dataset files and arrays, report files and
 prediction CSVs must be byte-identical. Parameter gradients and adjoint outputs
@@ -87,6 +90,28 @@ def _model_case(hf, out, key, ds, cfg, fitted):
         out[f"{key}/adjoint/{name}"] = g
 
 
+def _layer_cases(hf, out):
+    Tensor, ad, layers = hf.autodiff.Tensor, hf.autodiff, hf.layers
+    rng = np.random.default_rng(11)
+    relu = layers.MLPBlock([5, 7, 6, 3], "relu", np.random.default_rng(5))
+    lstm = layers.LSTMStack(3, 4, np.random.default_rng(6))
+    cases = (("mlp-relu-1d", relu, (5,)), ("mlp-relu-3d", relu, (2, 4, 5)),
+             ("lstm-2d", lstm, (6, 3)))
+    for key, layer, shape in cases:
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        y = layer(x)
+        loss = ad.reduce_sum(ad.mul(y, Tensor(rng.normal(size=y.shape))))
+        params = dict(layer.named_parameters())
+        for t in (x, *params.values()):
+            t.zero_grad()
+        ad.backward(loss)
+        out[f"layers/{key}/output"] = y.data
+        out[f"layers/{key}/nodes"] = np.array(_tape_nodes(loss))
+        out[f"layers/{key}/grad/input"] = x.grad
+        for name, t in params.items():
+            out[f"layers/{key}/grad/{name}"] = t.grad
+
+
 def dump(path) -> None:
     import hydroforecast.autodiff
     import hydroforecast.cli
@@ -120,6 +145,7 @@ def dump(path) -> None:
                 for solver in ("euler", "rk4"):
                     cfg = hf.models.ModelConfig(solver=solver, **base, **flags)
                     _model_case(hf, out, f"{task}/{variant}/{solver}/fitted", ds, cfg, True)
+        _layer_cases(hf, out)
         ev = hf.evalbench
         table = ev.BenchmarkTable(
             rows=[ev.BenchmarkCell(model="MLP-ODE-euler", solver="euler", task="1.1",

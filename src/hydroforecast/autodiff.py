@@ -14,8 +14,16 @@ keeps one pending gradient per node. The first dense gradient to reach a
 node is kept as it comes; a second one, or any scatter record, starts a
 buffer that the sweep owns, and later gradients are added into that buffer
 in place. A node's gradient is released as soon as its VJP has run. So the
-sweep's time and memory stay linear in the tape. ``linear`` fuses
-``x @ w + b`` into one node.
+sweep's time and memory stay linear in the tape.
+
+One layer call, one node: fused ops with hand-written VJPs stand for whole
+layers, so a forecast's tape grows by a few nodes per solver step, not by
+dozens. ``linear`` is ``x @ w + b``; ``mlp`` is a whole MLP block on the
+concatenation of its input parts; ``lstm_layer`` is one LSTM layer over
+every step, with backpropagation through time as its VJP. Each computes its
+forward and gradients as the unfused chain of small ops does, so both are
+bit-identical to that chain (``lstm_layer``'s weight gradients up to the
+order of a batched sum). ``odeint`` adds the solver's update and stack nodes.
 """
 
 from __future__ import annotations
@@ -205,8 +213,12 @@ def square(a: Tensor) -> Tensor:
     return Tensor._make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,), "square")
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
     return Tensor._make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -235,6 +247,132 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, _reduce_to(g, b.shape)
 
     return Tensor._make(out, (x, w, b), vjp, "linear")
+
+
+# activation and its VJP given the activation's output; the forms match tanh
+# and relu above, so a fused block rounds exactly as the unfused chain
+_MLP_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda g, out: g * (out > 0.0)),
+}
+MLP_ACTIVATIONS = tuple(_MLP_ACTIVATIONS)
+
+
+def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Tensor],
+        activation: str) -> Tensor:
+    """A whole MLP block as one node: ``linear`` layers with ``activation``
+    between them (none after the last), applied to the concatenation of
+    ``parts`` along their last axis.
+
+    Every part has the same leading axes (or all are 1-d). Each layer's
+    forward and gradients are computed as ``linear``, ``tanh``/``relu`` and
+    ``concat`` compute them, so the results are bit-identical to that chain.
+    """
+    parts = [_wrap(p) for p in parts]
+    if activation not in _MLP_ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    act, act_vjp = _MLP_ACTIVATIONS[activation]
+    if not parts or any(p.ndim == 0 or p.shape[:-1] != parts[0].shape[:-1] for p in parts):
+        raise ShapeError(f"mlp: parts {[p.shape for p in parts]} do not share leading axes")
+    x = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], -1)
+    inputs, acts = [], []  # each layer's input as linear sees it; hidden activations
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+            raise ShapeError(f"mlp: layer {i} weight {w.shape} and bias {b.shape} do not "
+                             f"fit an input of shape {x.shape}")
+        x2 = x.reshape(1, -1) if x.ndim == 1 else x
+        y = np.matmul(x2, w.data)
+        x = (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b.data
+        inputs.append(x2)
+        if i < len(weights) - 1:
+            x = act(x)
+            acts.append(x)
+
+    def vjp(g):
+        gws, gbs = [], []
+        for i in reversed(range(len(weights))):
+            if i < len(weights) - 1:
+                g = act_vjp(g, acts[i])
+            x2, w = inputs[i], weights[i]
+            g2 = g.reshape(1, -1) if g.ndim == 1 else g
+            gws.append(_reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape))
+            gbs.append(_reduce_to(g, biases[i].shape))
+            if i > 0:
+                g = np.matmul(g2, w.data.T).reshape(acts[i - 1].shape)
+        if any(p.requires_grad for p in parts):
+            gx = np.matmul(g2, weights[0].data.T).reshape(parts[0].shape[:-1] + (-1,))
+            gparts = _split(gx, [p.shape[-1] for p in parts], -1)
+        else:
+            gparts = [None] * len(parts)
+        return (*gparts, *gws[::-1], *gbs[::-1])
+
+    return Tensor._make(x, (*parts, *weights, *biases), vjp, "mlp")
+
+
+def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over every step of ``x`` [..., L, in] as one node.
+
+    ``w`` is [in + hid, 4 hid] and ``b`` [4 hid], with the gates in the order
+    input, forget, cell, output; h and c start at zero. Returns h at every
+    step, [..., L, hid]. A 2-d ``x`` runs as a batch of one. Each step
+    computes ``linear``, ``sigmoid``, ``tanh`` and ``mul`` as the unfused
+    chain does; the VJP is backpropagation through time.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    hid = w.shape[1] // 4 if w.ndim == 2 else 0
+    if x.ndim < 2 or w.ndim != 2 or w.shape != (x.shape[-1] + hid, 4 * hid) \
+            or b.shape != (4 * hid,):
+        raise ShapeError(f"lstm_layer: input {x.shape}, weight {w.shape} and bias "
+                         f"{b.shape} do not fit")
+    xs = x.data.reshape((1,) + x.shape) if x.ndim == 2 else x.data
+    h = np.zeros(xs.shape[:-2] + (hid,))
+    c = np.zeros_like(h)
+    steps = []  # (xh, i, f, g, o, c before, tanh(c)) per step
+    hs = []
+    for t in range(xs.shape[-2]):
+        xh = np.concatenate([xs[..., t, :], h], axis=-1)
+        z = np.matmul(xh, w.data) + b.data
+        i, f = _sigmoid(z[..., :hid]), _sigmoid(z[..., hid:2 * hid])
+        g, o = np.tanh(z[..., 2 * hid:3 * hid]), _sigmoid(z[..., 3 * hid:])
+        c_prev, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((xh, i, f, g, o, c_prev, tc))
+        hs.append(h)
+    out = np.stack(hs, axis=-2)
+
+    def vjp(gout):
+        gout = gout.reshape(out.shape)
+        gxs = np.zeros(xs.shape) if x.requires_grad else None
+        gw = gb = dh_next = dc_next = None
+        n_in = xs.shape[-1]
+        for t in reversed(range(len(steps))):
+            xh, i, f, g, o, c_prev, tc = steps[t]
+            dh = gout[..., t, :] if dh_next is None else gout[..., t, :] + dh_next
+            # products grouped as the chain's mul, sigmoid and tanh VJPs group them
+            dc = (dh * o) * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dz = np.concatenate([(dc * g) * i * (1.0 - i), (dc * c_prev) * f * (1.0 - f),
+                                 (dc * i) * (1.0 - g * g), (dh * tc) * o * (1.0 - o)],
+                                axis=-1)
+            dc_next = dc * f
+            dz2 = dz.reshape(-1, dz.shape[-1])
+            gw_t = np.matmul(xh.reshape(-1, xh.shape[-1]).T, dz2)
+            gb_t = dz2.sum(axis=0)
+            if gw is None:
+                gw, gb = gw_t, gb_t
+            else:
+                gw += gw_t
+                gb += gb_t
+            dxh = np.matmul(dz, w.data.T)
+            if gxs is not None:
+                gxs[..., t, :] = dxh[..., :n_in]
+            dh_next = np.ascontiguousarray(dxh[..., n_in:])
+        gx = None if gxs is None else gxs.reshape(x.shape)
+        return gx, gw, gb
+
+    return Tensor._make(out.reshape(x.shape[:-1] + (hid,)), (x, w, b), vjp, "lstm_layer")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -320,12 +458,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
     sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    return Tensor._make(out, tensors, lambda g: _split(g, sizes, axis), "concat")
 
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
-    return Tensor._make(out, tensors, vjp, "concat")
+def _split(g: np.ndarray, sizes: Sequence[int], axis: int) -> tuple[np.ndarray, ...]:
+    """``g`` cut along ``axis`` into contiguous pieces of the given sizes."""
+    return tuple(np.ascontiguousarray(p) for p in np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
 
 class _Scatter:

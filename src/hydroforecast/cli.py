@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+from .fileio import atomic_write
+
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
@@ -65,8 +67,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 def _echo_config(outdir: Path, subcommand: str, resolved: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"subcommand": subcommand, **resolved}
-    (outdir / "resolved_config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    with atomic_write(outdir / "resolved_config.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _require_out(resolved: dict, subcommand: str) -> Path:
@@ -215,8 +217,9 @@ def _write_prediction_csvs(out: Path, subset, pred) -> None:
     import numpy as np
     header = ",".join(["t"] + [f"Fhat_{i}" for i in range(subset.f)])
     for j, rec in enumerate(subset.records):
-        np.savetxt(out / f"pred_{j:04d}.csv", np.column_stack([rec.times, pred[j]]),
-                   fmt="%.17g", delimiter=",", header=header, comments="")
+        with atomic_write(out / f"pred_{j:04d}.csv", "wb") as fh:
+            np.savetxt(fh, np.column_stack([rec.times, pred[j]]),
+                       fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def cmd_predict(args, with_metrics: bool = False) -> int:
@@ -242,12 +245,13 @@ def cmd_predict(args, with_metrics: bool = False) -> int:
         _write_prediction_csvs(out, subset, pred)
         if with_metrics:
             metrics = evalbench.compute_metrics(pred, forces)
-            (out / "metrics.json").write_text(json.dumps({
-                "mae": metrics.mae, "rmse": metrics.rmse,
-                "mae_per_axis": list(metrics.mae_per_axis),
-                "rmse_per_axis": list(metrics.rmse_per_axis),
-                "num_samples": metrics.num_samples,
-                "split": resolved["split"]}, indent=2, sort_keys=True) + "\n")
+            with atomic_write(out / "metrics.json") as fh:
+                fh.write(json.dumps({
+                    "mae": metrics.mae, "rmse": metrics.rmse,
+                    "mae_per_axis": list(metrics.mae_per_axis),
+                    "rmse_per_axis": list(metrics.rmse_per_axis),
+                    "num_samples": metrics.num_samples,
+                    "split": resolved["split"]}, indent=2, sort_keys=True) + "\n")
             labels = ([f"F{a}" for a in "xyz"[:subset.f]] if subset.f <= 3
                       else ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])
             for j, rec in enumerate(subset.records):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError, Tensor
+from .fileio import atomic_write
 from .hydrodata import TrajectoryDataset, generate, split_dataset
 from .models import ForecastModel, ModelConfig, build_model
 from .training import TrainConfig, evaluate_loss, train
@@ -253,7 +254,8 @@ def emit_report(table: BenchmarkTable, outdir, include_timing: bool = True) -> l
     for cell in table.rows:
         lines.append(",".join(_cell_csv_value(cell, c) for c in cols))
     csv_path = out / "results.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    with atomic_write(csv_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     written.append(csv_path)
 
     payload = {"config": table.config, "rows": []}
@@ -264,7 +266,8 @@ def emit_report(table: BenchmarkTable, outdir, include_timing: bool = True) -> l
         row["failure"] = cell.failure
         payload["rows"].append(row)
     json_path = out / "results.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(json_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written.append(json_path)
     return written
 
@@ -340,4 +343,5 @@ def plot_trajectory_svg(times: np.ndarray, truth: np.ndarray, pred: np.ndarray,
         parts.append(f'<text x="{lx + 30}" y="{ly + 30}" font-family="sans-serif" '
                      f'font-size="11">{labels[i]} pred</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(parts) + "\n")

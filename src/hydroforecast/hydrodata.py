@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_write
+
 DEFAULT_DT = 0.02
 SPEEDS = (0.2, 0.3, 0.4, 0.5)
 DIRECTIONS = (("X", (1.0, 0.0)),
@@ -388,7 +390,8 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
     for j, rec in enumerate(ds.records):
         name = f"traj_{j:04d}.csv"
         table = np.column_stack([rec.times, rec.conditions, rec.forces, rec.condition_ids])
-        np.savetxt(out / name, table, fmt=fmt, delimiter=",", header=header, comments="")
+        with atomic_write(out / name, "wb") as fh:
+            np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
         entry = {"file": name, "f0": [float(v) for v in rec.f0]}
         if rec.direction is not None:
             entry["direction"] = rec.direction
@@ -407,7 +410,8 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
         "splits": ds.splits,
         "trajectories": traj_meta,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(indir) -> TrajectoryDataset:

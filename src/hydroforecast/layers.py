@@ -84,16 +84,17 @@ class LinearLayer:
         return ad.linear(x, self.weight, self.bias)
 
 
-_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
-
-
 class MLPBlock:
-    """Linear layers with an activation between them (none after the last)."""
+    """Linear layers with an activation between them (none after the last).
+
+    Called on one or more input parts, which are joined along the last axis;
+    the whole block is one ``autodiff.mlp`` node.
+    """
 
     def __init__(self, dims: list[int], activation: str, rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("MLPBlock needs at least input and output dims")
-        if activation not in _ACTIVATIONS:
+        if activation not in ad.MLP_ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.dims = list(dims)
         self.activation = activation
@@ -104,13 +105,9 @@ class MLPBlock:
             for name, t in layer.named_parameters():
                 yield f"layer{i}.{name}", t
 
-    def __call__(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = act(x)
-        return x
+    def __call__(self, *parts: Tensor) -> Tensor:
+        return ad.mlp(parts, [layer.weight for layer in self.layers],
+                      [layer.bias for layer in self.layers], self.activation)
 
 
 class MultiHeadSelfAttention:
@@ -167,6 +164,8 @@ class MultiHeadSelfAttention:
 class LSTMStack:
     """Stacked LSTM; returns the top layer's hidden state at every step.
 
+    Each layer is one ``autodiff.lstm_layer`` node over the whole sequence.
+
     Forget-gate biases start at 1 so early training does not flush the cell.
     """
 
@@ -175,7 +174,6 @@ class LSTMStack:
         if input_size <= 0 or hidden_size <= 0 or num_layers <= 0:
             raise ValueError("LSTMStack dims must be positive")
         self.input_size = input_size
-        self.hidden_size = hidden_size
         self.num_layers = num_layers
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
@@ -196,29 +194,6 @@ class LSTMStack:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"lstm: input dim {x.shape[-1]} != {self.input_size}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = ad.reshape(x, (1,) + x.shape)
-        batch = x.shape[:-2]
-        n = x.shape[-2]
-        hid = self.hidden_size
-        seq = x
-        for layer in range(self.num_layers):
-            w, b = self.weights[layer], self.biases[layer]
-            h = Tensor(np.zeros(batch + (hid,)))
-            c = Tensor(np.zeros(batch + (hid,)))
-            outs = []
-            for t in range(n):
-                x_t = seq[(Ellipsis, t, slice(None))]
-                z = ad.linear(ad.concat([x_t, h], axis=-1), w, b)
-                i_g = ad.sigmoid(z[(Ellipsis, slice(0, hid))])
-                f_g = ad.sigmoid(z[(Ellipsis, slice(hid, 2 * hid))])
-                g_g = ad.tanh(z[(Ellipsis, slice(2 * hid, 3 * hid))])
-                o_g = ad.sigmoid(z[(Ellipsis, slice(3 * hid, 4 * hid))])
-                c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-                h = ad.mul(o_g, ad.tanh(c))
-                outs.append(ad.reshape(h, batch + (1, hid)))
-            seq = ad.concat(outs, axis=-2)
-        if squeeze:
-            seq = ad.reshape(seq, (n, hid))
-        return seq
+        for w, b in zip(self.weights, self.biases):
+            x = ad.lstm_layer(x, w, b)
+        return x

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .fileio import atomic_write
 from .layers import (LSTMStack, LinearLayer, MLPBlock, MultiHeadSelfAttention,
                      ParamRegistry, collect_params, count_params)
 from .odeint import TimeGrid, integrate
@@ -154,7 +155,7 @@ class ForecastModel:
         parts = [state, control]
         if self.config.time_input:
             parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
-        return self.kernel_mlp(ad.concat(parts, axis=-1))
+        return self.kernel_mlp(*parts)
 
     def predict_forces(self, x: Tensor, f0: Tensor, grid: TimeGrid | None = None) -> Tensor:
         """Forces [..., L, f_out] from raw conditions [..., L, n_in] and F0 [..., f_out]."""
@@ -220,7 +221,7 @@ def checkpoint_save(model: ForecastModel, path) -> None:
         chunks.append(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 

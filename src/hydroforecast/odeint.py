@@ -3,7 +3,10 @@
 Two gradient paths are supported: backprop through the unrolled solver
 (the default used in training) and a step-reversed adjoint sweep that
 rebuilds one solver step at a time, so memory stays O(1) in the horizon.
-Controls are zero-order held across a step, including RK4 substages.
+Controls are zero-order held across a step, including RK4 substages. The
+Euler update, each RK4 stage point, the RK4 update and the trajectory stack
+are one tape node each, so with a one-node kernel a step adds three nodes
+(Euler) or nine (RK4), counting the control slice.
 """
 
 from __future__ import annotations
@@ -47,22 +50,54 @@ def _check_lengths(controls: Tensor, grid: TimeGrid) -> None:
         raise ShapeError(f"controls length {controls.shape[-2]} != grid steps {grid.steps}")
 
 
-def _stack_states(states: Sequence[Tensor], f: int) -> Tensor:
-    rows = [ad.reshape(s, s.shape[:-1] + (1, f)) for s in states]
-    return ad.concat(rows, axis=-2)
+def _stack_states(states: Sequence[Tensor]) -> Tensor:
+    """States [..., f] stacked on a new second-to-last axis, as one node."""
+    out = np.stack([s.data for s in states], axis=-2)
+
+    def vjp(g):
+        return tuple(np.ascontiguousarray(g[..., i, :]) for i in range(len(states)))
+
+    return Tensor._make(out, states, vjp, "stack")
+
+
+def _check_derivatives(state: Tensor, ks: Sequence[Tensor]) -> None:
+    for k in ks:
+        if k.shape != state.shape:
+            raise ShapeError(f"kernel output shape {k.shape} != state shape {state.shape}")
+
+
+def _axpy(state: Tensor, k: Tensor, h: float) -> Tensor:
+    """``state + h * k`` as one node: an Euler step or an RK4 stage point."""
+    _check_derivatives(state, (k,))
+    h = float(h)
+    return Tensor._make(state.data + k.data * h, (state, k), lambda g: (g, g * h), "axpy")
+
+
+def _rk4_update(state: Tensor, ks: Sequence[Tensor], dt: float) -> Tensor:
+    """``state + dt/6 * ((k1 + 2 k2) + (2 k3 + k4))`` as one node."""
+    _check_derivatives(state, ks)
+    k1, k2, k3, k4 = ks
+    h = float(dt / 6.0)
+    incr = (k1.data + k2.data * 2.0) + (k3.data * 2.0 + k4.data)
+
+    def vjp(g):
+        g1 = g * h
+        g2 = g1 * 2.0
+        return g, g1, g2, g2, g1
+
+    return Tensor._make(state.data + incr * h, (state, *ks), vjp, "rk4_update")
 
 
 def _euler_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
-    return ad.add(state, ad.scale(kernel(state, c, t), dt))
+    return _axpy(state, kernel(state, c, t), dt)
 
 
 def _rk4_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
     k1 = kernel(state, c, t)
-    k2 = kernel(ad.add(state, ad.scale(k1, dt / 2.0)), c, t + dt / 2.0)
-    k3 = kernel(ad.add(state, ad.scale(k2, dt / 2.0)), c, t + dt / 2.0)
-    k4 = kernel(ad.add(state, ad.scale(k3, dt)), c, t + dt)
-    incr = ad.add(ad.add(k1, ad.scale(k2, 2.0)), ad.add(ad.scale(k3, 2.0), k4))
-    return ad.add(state, ad.scale(incr, dt / 6.0))
+    k2 = kernel(_axpy(state, k1, dt / 2.0), c, t + dt / 2.0)
+    k3 = kernel(_axpy(state, k2, dt / 2.0), c, t + dt / 2.0)
+    k4 = kernel(_axpy(state, k3, dt), c, t + dt)
+    return _rk4_update(state, (k1, k2, k3, k4), dt)
 
 
 # One step per solver, shared by the forward loop and the adjoint sweep: the
@@ -86,7 +121,7 @@ def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
     for i in range(grid.steps):
         state = step(state, _control_at(controls, i), grid.t0 + i * grid.dt, grid.dt, kernel)
         out.append(state)
-    return _stack_states(out, f0.shape[-1])
+    return _stack_states(out)
 
 
 euler_integrate = partial(integrate, "euler")

@@ -1,0 +1,321 @@
+"""Fused nodes against the unfused op chains they replace.
+
+``autodiff.mlp``, ``autodiff.lstm_layer`` and the solver's update and stack
+nodes must give the same forward bytes as the chains of small ops below, and
+gradients that match central differences. The tape-budget tests hold a
+forecast to one node per layer call.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hydroforecast import autodiff as ad
+from hydroforecast import odeint
+from hydroforecast.autodiff import ShapeError, Tensor
+from hydroforecast.hydrodata import generate
+from hydroforecast.layers import LSTMStack, MLPBlock
+from hydroforecast.models import ModelConfig, build_model
+
+EPS = 1e-6
+TOL = 1e-5
+KINK = 1e-3  # relu pre-activations stay this far from zero under the probe step
+
+
+# ---- the unfused compositions ---------------------------------------------
+
+
+def unfused_mlp(parts, weights, biases, activation):
+    act = {"tanh": ad.tanh, "relu": ad.relu}[activation]
+    x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = ad.linear(x, w, b)
+        if i < len(weights) - 1:
+            x = act(x)
+    return x
+
+
+def unfused_lstm_layer(x, w, b):
+    hid = b.shape[0] // 4
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = ad.reshape(x, (1,) + x.shape)
+    batch, n = x.shape[:-2], x.shape[-2]
+    h = Tensor(np.zeros(batch + (hid,)))
+    c = Tensor(np.zeros(batch + (hid,)))
+    outs = []
+    for t in range(n):
+        z = ad.linear(ad.concat([x[(Ellipsis, t, slice(None))], h], axis=-1), w, b)
+        i_g = ad.sigmoid(z[(Ellipsis, slice(0, hid))])
+        f_g = ad.sigmoid(z[(Ellipsis, slice(hid, 2 * hid))])
+        g_g = ad.tanh(z[(Ellipsis, slice(2 * hid, 3 * hid))])
+        o_g = ad.sigmoid(z[(Ellipsis, slice(3 * hid, 4 * hid))])
+        c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
+        h = ad.mul(o_g, ad.tanh(c))
+        outs.append(ad.reshape(h, batch + (1, hid)))
+    seq = ad.concat(outs, axis=-2)
+    return ad.reshape(seq, (n, hid)) if squeeze else seq
+
+
+def unfused_axpy(state, k, h):
+    return ad.add(state, ad.scale(k, h))
+
+
+def unfused_rk4_update(state, ks, dt):
+    k1, k2, k3, k4 = ks
+    incr = ad.add(ad.add(k1, ad.scale(k2, 2.0)), ad.add(ad.scale(k3, 2.0), k4))
+    return ad.add(state, ad.scale(incr, dt / 6.0))
+
+
+def unfused_stack(states):
+    return ad.concat([ad.reshape(s, s.shape[:-1] + (1, s.shape[-1])) for s in states],
+                     axis=-2)
+
+
+# ---- helpers ----------------------------------------------------------------
+
+
+def _weighted_sum(y: Tensor, seed: int) -> Tensor:
+    """A scalar loss whose gradient is a fixed random array."""
+    c = np.random.default_rng([seed, 1]).normal(size=y.shape)
+    return ad.reduce_sum(ad.mul(y, Tensor(c)))
+
+
+def _grads(loss: Tensor, tensors) -> list[np.ndarray]:
+    for t in tensors:
+        t.zero_grad()
+    ad.backward(loss)
+    out = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+    return out
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tape(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root``, leaves included."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _non_leaf(root: Tensor) -> int:
+    return sum(node._vjp is not None for node in _tape(root))
+
+
+lead_axes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+# ---- mlp ----------------------------------------------------------------------
+
+
+@st.composite
+def mlp_cases(draw):
+    """Leading axes (none for 1-d parts), part widths, layer widths, activation."""
+    return (draw(lead_axes), draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+            draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+            draw(st.sampled_from(ad.MLP_ACTIVATIONS)), draw(seeds))
+
+
+def _mlp_tensors(case):
+    lead, widths, dims, activation, seed = case
+    rng = np.random.default_rng(seed)
+    parts = [Tensor(rng.normal(size=lead + (w,)), requires_grad=True) for w in widths]
+    ins = [sum(widths)] + dims[:-1]
+    weights = [Tensor(rng.normal(size=(a, b)), requires_grad=True) for a, b in zip(ins, dims)]
+    biases = [Tensor(rng.normal(size=b), requires_grad=True) for b in dims]
+    if activation == "relu":  # keep every hidden pre-activation off the kink
+        x = np.concatenate([p.data for p in parts], axis=-1)
+        for w, b in zip(weights[:-1], biases[:-1]):
+            z = x @ w.data + b.data
+            assume(np.min(np.abs(z)) > KINK)
+            x = np.maximum(z, 0.0)
+    return parts, weights, biases, activation, seed
+
+
+class TestMLP:
+    @given(mlp_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfused_chain(self, case):
+        parts, weights, biases, activation, seed = _mlp_tensors(case)
+        fused = ad.mlp(parts, weights, biases, activation)
+        chain = unfused_mlp(parts, weights, biases, activation)
+        assert _same_bytes(fused.data, chain.data)
+        assert fused.op == "mlp" and _non_leaf(fused) == 1
+        tensors = [*parts, *weights, *biases]
+        for a, b in zip(_grads(_weighted_sum(fused, seed), tensors),
+                        _grads(_weighted_sum(chain, seed), tensors)):
+            assert _same_bytes(a, b)
+
+    @given(mlp_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_gradients_match_central_differences(self, case):
+        parts, weights, biases, activation, seed = _mlp_tensors(case)
+        err = ad.grad_check(lambda: _weighted_sum(ad.mlp(parts, weights, biases, activation),
+                                                  seed),
+                            [*parts, *weights, *biases], epsilon=EPS)
+        assert err < TOL
+
+    def test_block_takes_parts(self, rng):
+        mlp = MLPBlock([5, 4, 2], "tanh", rng)
+        a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
+        joined = mlp(Tensor(np.concatenate([a, b], axis=-1)))
+        assert _same_bytes(mlp(Tensor(a), Tensor(b)).data, joined.data)
+
+    def test_shape_errors(self, rng):
+        w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+        with pytest.raises(ShapeError):  # parts' widths do not sum to the input width
+            ad.mlp([Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2)))], [w], [b], "tanh")
+        with pytest.raises(ShapeError):  # parts with different leading axes
+            ad.mlp([Tensor(np.zeros((4, 1))), Tensor(np.zeros((5, 2)))], [w], [b], "tanh")
+        with pytest.raises(ValueError):
+            ad.mlp([Tensor(np.zeros(3))], [w], [b], "gelu")
+
+
+# ---- lstm_layer ---------------------------------------------------------------
+
+
+@st.composite
+def lstm_cases(draw):
+    """Batch axes (none for a 2-d sequence), steps, input and hidden widths."""
+    return (draw(lead_axes), draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(seeds))
+
+
+def _lstm_tensors(case):
+    batch, steps, n_in, hid, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=batch + (steps, n_in)), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.7, size=(n_in + hid, 4 * hid)), requires_grad=True)
+    b = Tensor(rng.normal(size=4 * hid), requires_grad=True)
+    return x, w, b, seed
+
+
+class TestLSTMLayer:
+    @given(lstm_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfused_chain(self, case):
+        x, w, b, seed = _lstm_tensors(case)
+        fused = ad.lstm_layer(x, w, b)
+        chain = unfused_lstm_layer(x, w, b)
+        assert _same_bytes(fused.data, chain.data)
+        assert fused.op == "lstm_layer" and _non_leaf(fused) == 1
+        # weight gradients sum per-step terms as 2-d matmuls, which may round
+        # differently from the chain's batched ones on more than one batch axis
+        for a, c in zip(_grads(_weighted_sum(fused, seed), [x, w, b]),
+                        _grads(_weighted_sum(chain, seed), [x, w, b])):
+            assert np.allclose(a, c, rtol=1e-12, atol=1e-13)
+
+    @given(lstm_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_gradients_match_central_differences(self, case):
+        x, w, b, seed = _lstm_tensors(case)
+        err = ad.grad_check(lambda: _weighted_sum(ad.lstm_layer(x, w, b), seed), [x, w, b],
+                            epsilon=EPS)
+        assert err < TOL
+
+    def test_shape_errors(self):
+        w, b = Tensor(np.zeros((5, 8))), Tensor(np.zeros(8))
+        for shape in [(4, 2), (3,), (2, 4, 4)]:
+            with pytest.raises(ShapeError):
+                ad.lstm_layer(Tensor(np.zeros(shape)), w, b)
+        with pytest.raises(ShapeError):
+            ad.lstm_layer(Tensor(np.zeros((4, 3))), w, Tensor(np.zeros(4)))
+
+
+# ---- solver nodes -------------------------------------------------------------
+
+
+@st.composite
+def state_cases(draw):
+    """Leading axes (none for a 1-d state), state width, step size, states."""
+    return (draw(lead_axes), draw(st.integers(1, 4)),
+            draw(st.floats(1e-3, 0.5, allow_nan=False)), draw(st.integers(1, 4)),
+            draw(seeds))
+
+
+def _states(case, count):
+    lead, f, _, _, seed = case
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=lead + (f,)), requires_grad=True) for _ in range(count)]
+
+
+class TestSolverNodes:
+    @given(state_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_axpy(self, case):
+        h, seed = case[2], case[4]
+        state, k = _states(case, 2)
+        fused, chain = odeint._axpy(state, k, h), unfused_axpy(state, k, h)
+        self._check(fused, chain, [state, k], seed,
+                    lambda: _weighted_sum(odeint._axpy(state, k, h), seed))
+
+    @given(state_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_rk4_update(self, case):
+        dt, seed = case[2], case[4]
+        state, *ks = _states(case, 5)
+        fused, chain = odeint._rk4_update(state, ks, dt), unfused_rk4_update(state, ks, dt)
+        self._check(fused, chain, [state, *ks], seed,
+                    lambda: _weighted_sum(odeint._rk4_update(state, ks, dt), seed))
+
+    @given(state_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_stack(self, case):
+        seed = case[4]
+        states = _states(case, case[3])
+        fused, chain = odeint._stack_states(states), unfused_stack(states)
+        self._check(fused, chain, states, seed,
+                    lambda: _weighted_sum(odeint._stack_states(states), seed))
+
+    @staticmethod
+    def _check(fused, chain, inputs, seed, loss_fn):
+        assert _same_bytes(fused.data, chain.data)
+        assert _non_leaf(fused) == 1
+        for a, b in zip(_grads(_weighted_sum(fused, seed), inputs),
+                        _grads(_weighted_sum(chain, seed), inputs)):
+            assert _same_bytes(a, b)
+        assert ad.grad_check(loss_fn, inputs, epsilon=EPS) < TOL
+
+    def test_kernel_output_shape_checked(self):
+        state = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            odeint._axpy(state, Tensor(np.zeros((2, 2))), 0.1)
+        with pytest.raises(ShapeError):
+            odeint._rk4_update(state, [state, state, state, Tensor(np.zeros(3))], 0.1)
+
+
+# ---- tape budget ---------------------------------------------------------------
+
+
+class TestTapeBudget:
+    @pytest.mark.parametrize("solver,per_step", [("euler", 3), ("rk4", 9)])
+    def test_forecast_nodes_per_step(self, solver, per_step):
+        """A Task-2-shaped attention forecast: an encoder whose size does not
+        depend on L, then at most ``per_step`` nodes per solver step, then a
+        fixed overhead (kernel parameters, F0 and output scaling, the stack)."""
+        extra = {}
+        for length in (40, 80):
+            ds = generate("2", seed=0, num_trajectories=1, length=length)
+            x, _, f0 = ds.stack()
+            model = build_model(ModelConfig(encoder="attention", solver=solver, n_in=ds.n,
+                                            f_out=ds.f, dt=ds.dt))
+            forecast = len(_tape(model.predict_forces(Tensor(x), Tensor(f0))))
+            extra[length] = forecast - len(_tape(model.encode_conditions(Tensor(x))))
+            assert extra[length] <= per_step * length + 16
+        assert extra[80] - extra[40] <= per_step * 40
+
+    def test_lstm_stack_one_node_per_layer(self, rng):
+        for layers in (1, 3):
+            lstm = LSTMStack(4, 5, rng, num_layers=layers)
+            for shape in [(6, 4), (2, 6, 4)]:
+                assert _non_leaf(lstm(Tensor(rng.normal(size=shape)))) == layers
