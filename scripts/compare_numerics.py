@@ -10,16 +10,17 @@ Tasks 1.1 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The
 model cases are the attention, mlp and lstm encoders x euler and rk4 x fitted
 and identity normalisers on Task 1.2 and Task 2 data, plus causal,
 positional-encoding and time-input attention models. Layer cases cover calls
-that no model makes: a relu MLPBlock on 1-d and 3-d input and an LSTMStack fed
-one unbatched 2-d sequence, each with its output, parameter and input gradients
-and tape-node count.
+that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, and an
+LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
+each with its output, parameter and input gradients and tape-node count.
 
 Forecasts, attention weights, dataset files and arrays, report files and
 prediction CSVs must be byte-identical. Parameter gradients and adjoint outputs
 may differ by float64 round-off from a reordered summation (a fused op adds a
-bias gradient's terms in another order): at most 1e-14 times the array's
-largest magnitude, or 1e-14 absolute where that is below 1. Tape-node counts
-may fall but must not rise.
+bias gradient's terms in another order, and an LSTM layer on two batch axes
+sums its per-step weight gradients as batched matmuls): at most 1e-14 times the
+array's largest magnitude, or 1e-14 absolute where that is below 1. Tape-node
+counts may fall but must not rise.
 
     python scripts/compare_numerics.py --base path/to/old/src --head src
 """
@@ -93,10 +94,15 @@ def _model_case(hf, out, key, ds, cfg, fitted):
 def _layer_cases(hf, out):
     Tensor, ad, layers = hf.autodiff.Tensor, hf.autodiff, hf.layers
     rng = np.random.default_rng(11)
-    relu = layers.MLPBlock([5, 7, 6, 3], "relu", np.random.default_rng(5))
+    try:
+        mlp = layers.MLPBlock([5, 7, 6, 3], np.random.default_rng(5))
+    except TypeError:  # a tree whose MLPBlock still takes an activation
+        mlp = layers.MLPBlock([5, 7, 6, 3], "tanh", np.random.default_rng(5))
+    linear = layers.LinearLayer(5, 3, np.random.default_rng(4))
     lstm = layers.LSTMStack(3, 4, np.random.default_rng(6))
-    cases = (("mlp-relu-1d", relu, (5,)), ("mlp-relu-3d", relu, (2, 4, 5)),
-             ("lstm-2d", lstm, (6, 3)))
+    cases = (("linear-1d", linear, (5,)), ("linear-3d", linear, (2, 4, 5)),
+             ("mlp-1d", mlp, (5,)), ("mlp-3d", mlp, (2, 4, 5)),
+             ("lstm-2d", lstm, (6, 3)), ("lstm-4d", lstm, (2, 3, 6, 3)))
     for key, layer, shape in cases:
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         y = layer(x)

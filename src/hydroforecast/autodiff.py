@@ -18,12 +18,15 @@ sweep's time and memory stay linear in the tape.
 
 One layer call, one node: fused ops with hand-written VJPs stand for whole
 layers, so a forecast's tape grows by a few nodes per solver step, not by
-dozens. ``linear`` is ``x @ w + b``; ``mlp`` is a whole MLP block on the
-concatenation of its input parts; ``lstm_layer`` is one LSTM layer over
-every step, with backpropagation through time as its VJP. Each computes its
-forward and gradients as the unfused chain of small ops does, so both are
-bit-identical to that chain (``lstm_layer``'s weight gradients up to the
-order of a batched sum). ``odeint`` adds the solver's update and stack nodes.
+dozens. ``mlp`` is the one dense op: a whole MLP block on the
+concatenation of its input parts, and with one layer a linear layer;
+``lstm_layer`` is one LSTM layer over every step, with backpropagation
+through time as its VJP. Both write ``x @ w + b`` and its gradients through
+the numpy helpers ``_dense`` and ``_dense_vjp``, so that math exists once.
+Each computes its forward and gradients as the unfused chain of small ops
+does, so both are bit-identical to that chain (``lstm_layer``'s weight
+gradients up to the order of a batched sum). ``odeint`` adds the solver's
+update and stack nodes.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -198,17 +198,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = (a.data > 0.0).astype(np.float64)
-    return Tensor._make(out, (a,), lambda g: (g * mask,), "relu")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return Tensor._make(out, (a,), lambda g: (g * out,), "exp")
-
-
 def square(a: Tensor) -> Tensor:
     return Tensor._make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,), "square")
 
@@ -225,85 +214,68 @@ def sigmoid(a: Tensor) -> Tensor:
 # ---- matmul and softmax --------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node; ``x`` is 1-d or has any leading batch axes.
-
-    ``w`` is [in, out] and ``b`` is [out]; the bias gradient is summed over
-    every batch axis of ``x``.
-    """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if w.ndim != 2 or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: weight {w.shape} and bias {b.shape} do not fit")
-    if x.ndim == 0 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: input shape {x.shape} does not end in {w.shape[0]}")
-    x2 = x.data.reshape(1, -1) if x.ndim == 1 else x.data
-    y = np.matmul(x2, w.data)
-    out = (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b.data
-
-    def vjp(g):
-        g2 = g.reshape(1, -1) if x.ndim == 1 else g
-        gx = np.matmul(g2, w.data.T).reshape(x.shape)
-        gw = _reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape)
-        return gx, gw, _reduce_to(g, b.shape)
-
-    return Tensor._make(out, (x, w, b), vjp, "linear")
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x @ w + b`` for ``x`` 1-d or with any leading axes; also returns ``x``
+    as the matmul saw it (a 1-d ``x`` as one row), which ``_dense_vjp`` takes."""
+    x2 = x.reshape(1, -1) if x.ndim == 1 else x
+    y = np.matmul(x2, w)
+    return (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b, x2
 
 
-# activation and its VJP given the activation's output; the forms match tanh
-# and relu above, so a fused block rounds exactly as the unfused chain
-_MLP_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda g, out: g * (1.0 - out * out)),
-    "relu": (lambda a: np.maximum(a, 0.0), lambda g, out: g * (out > 0.0)),
-}
-MLP_ACTIVATIONS = tuple(_MLP_ACTIVATIONS)
+def _dense_vjp(x2: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
+    """Gradients of ``_dense`` for output gradient ``g``: the input's (shaped
+    as ``x2``, None unless ``need_gx``), the weight's and the bias's, the last
+    two summed over every leading axis."""
+    g2 = g.reshape(1, -1) if g.ndim == 1 else g
+    gx = np.matmul(g2, w.T) if need_gx else None
+    gw = _reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape)
+    return gx, gw, _reduce_to(g, w.shape[1:])
 
 
-def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Tensor],
-        activation: str) -> Tensor:
-    """A whole MLP block as one node: ``linear`` layers with ``activation``
+def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A whole MLP block as one node: dense layers ``x @ w + b`` with tanh
     between them (none after the last), applied to the concatenation of
-    ``parts`` along their last axis.
+    ``parts`` along their last axis. One layer and one part is a linear layer.
 
-    Every part has the same leading axes (or all are 1-d). Each layer's
-    forward and gradients are computed as ``linear``, ``tanh``/``relu`` and
-    ``concat`` compute them, so the results are bit-identical to that chain.
+    Every part has the same leading axes (or all are 1-d); ``w`` is [in, out]
+    and ``b`` [out], and bias gradients sum over every leading axis. Each
+    layer's forward and gradients are computed as ``matmul``, ``add``,
+    ``tanh`` and ``concat`` compute them, so the results are bit-identical to
+    that chain.
     """
     parts = [_wrap(p) for p in parts]
-    if activation not in _MLP_ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    act, act_vjp = _MLP_ACTIVATIONS[activation]
     if not parts or any(p.ndim == 0 or p.shape[:-1] != parts[0].shape[:-1] for p in parts):
         raise ShapeError(f"mlp: parts {[p.shape for p in parts]} do not share leading axes")
     x = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], -1)
-    inputs, acts = [], []  # each layer's input as linear sees it; hidden activations
+    inputs, acts = [], []  # each layer's input as the matmul saw it; hidden tanh outputs
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
             raise ShapeError(f"mlp: layer {i} weight {w.shape} and bias {b.shape} do not "
                              f"fit an input of shape {x.shape}")
-        x2 = x.reshape(1, -1) if x.ndim == 1 else x
-        y = np.matmul(x2, w.data)
-        x = (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b.data
+        x, x2 = _dense(x, w.data, b.data)
         inputs.append(x2)
         if i < len(weights) - 1:
-            x = act(x)
+            x = np.tanh(x)
             acts.append(x)
 
     def vjp(g):
         gws, gbs = [], []
+        need_gx = any(p.requires_grad for p in parts)
         for i in reversed(range(len(weights))):
             if i < len(weights) - 1:
-                g = act_vjp(g, acts[i])
-            x2, w = inputs[i], weights[i]
-            g2 = g.reshape(1, -1) if g.ndim == 1 else g
-            gws.append(_reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape))
-            gbs.append(_reduce_to(g, biases[i].shape))
+                g = g * (1.0 - acts[i] * acts[i])
+            g, gw, gb = _dense_vjp(inputs[i], weights[i].data, g, i > 0 or need_gx)
+            gws.append(gw)
+            gbs.append(gb)
             if i > 0:
-                g = np.matmul(g2, w.data.T).reshape(acts[i - 1].shape)
-        if any(p.requires_grad for p in parts):
-            gx = np.matmul(g2, weights[0].data.T).reshape(parts[0].shape[:-1] + (-1,))
-            gparts = _split(gx, [p.shape[-1] for p in parts], -1)
-        else:
+                g = g.reshape(acts[i - 1].shape)
+        if not need_gx:
             gparts = [None] * len(parts)
+        elif len(parts) == 1:
+            gparts = [g.reshape(parts[0].shape)]
+        else:
+            gparts = _split(g.reshape(parts[0].shape[:-1] + (-1,)),
+                            [p.shape[-1] for p in parts], -1)
         return (*gparts, *gws[::-1], *gbs[::-1])
 
     return Tensor._make(x, (*parts, *weights, *biases), vjp, "mlp")
@@ -315,8 +287,8 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w`` is [in + hid, 4 hid] and ``b`` [4 hid], with the gates in the order
     input, forget, cell, output; h and c start at zero. Returns h at every
     step, [..., L, hid]. A 2-d ``x`` runs as a batch of one. Each step
-    computes ``linear``, ``sigmoid``, ``tanh`` and ``mul`` as the unfused
-    chain does; the VJP is backpropagation through time.
+    computes ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul`` as the
+    unfused chain does; the VJP is backpropagation through time.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     hid = w.shape[1] // 4 if w.ndim == 2 else 0
@@ -331,7 +303,7 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     hs = []
     for t in range(xs.shape[-2]):
         xh = np.concatenate([xs[..., t, :], h], axis=-1)
-        z = np.matmul(xh, w.data) + b.data
+        z, _ = _dense(xh, w.data, b.data)
         i, f = _sigmoid(z[..., :hid]), _sigmoid(z[..., hid:2 * hid])
         g, o = np.tanh(z[..., 2 * hid:3 * hid]), _sigmoid(z[..., 3 * hid:])
         c_prev, c = c, f * c + i * g
@@ -357,15 +329,12 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                                  (dc * i) * (1.0 - g * g), (dh * tc) * o * (1.0 - o)],
                                 axis=-1)
             dc_next = dc * f
-            dz2 = dz.reshape(-1, dz.shape[-1])
-            gw_t = np.matmul(xh.reshape(-1, xh.shape[-1]).T, dz2)
-            gb_t = dz2.sum(axis=0)
+            dxh, gw_t, gb_t = _dense_vjp(xh, w.data, dz, True)
             if gw is None:
                 gw, gb = gw_t, gb_t
             else:
                 gw += gw_t
                 gb += gb_t
-            dxh = np.matmul(dz, w.data.T)
             if gxs is not None:
                 gxs[..., t, :] = dxh[..., :n_in]
             dh_next = np.ascontiguousarray(dxh[..., n_in:])

@@ -136,8 +136,8 @@ def _split_subsets(ds):
 
 
 def cmd_train(args) -> int:
-    from . import evalbench, hydrodata as hd, training as tr
-    from .models import ModelConfig, build_model
+    from . import evalbench, training as tr
+    from .models import build_model
 
     defaults = {"data": None, "model": "attention-ode", "solver": "euler",
                 "out": None, "seed": 0, "lr": 3e-3, "batch_size": 16,
@@ -157,14 +157,9 @@ def cmd_train(args) -> int:
     out = _require_out(resolved, "train")
     ds = _load_dataset_or_die(resolved["data"])
     subsets = _split_subsets(ds)
-    preset = evalbench.PRESETS[resolved["preset"]]
-    encoder = MODEL_FLAGS[resolved["model"]]
-    config = ModelConfig(encoder=encoder, n_in=ds.n, f_out=ds.f,
-                         d_model=preset["d_model"], heads=preset["heads"],
-                         latent=preset["latent"], kernel_hidden=preset["kernel_hidden"],
-                         lstm_hidden=preset["lstm_hidden"],
-                         solver=resolved["solver"], dt=ds.dt, seed=int(resolved["seed"]))
-    model = build_model(config)
+    model = build_model(evalbench.preset_config(
+        evalbench.PRESETS[resolved["preset"]], MODEL_FLAGS[resolved["model"]],
+        resolved["solver"], ds, int(resolved["seed"])))
     model.fit_normalizer(subsets["train"])
     train_cfg = tr.TrainConfig(learning_rate=float(resolved["lr"]),
                                batch_size=int(resolved["batch_size"]),

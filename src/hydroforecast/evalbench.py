@@ -47,7 +47,6 @@ class TimingReport:
     repeats: int
     warmup: int
     hardware: str
-    threads: int
 
     def __post_init__(self):
         if self.p95_ms < self.median_ms:
@@ -99,8 +98,7 @@ def time_inference(model: ForecastModel, x: np.ndarray, f0: np.ndarray,
     arr = np.asarray(samples)
     return TimingReport(mean_ms=float(arr.mean()), median_ms=float(np.median(arr)),
                         p95_ms=float(np.percentile(arr, 95)), repeats=repeats,
-                        warmup=warmup, hardware=platform.processor() or platform.machine(),
-                        threads=1)
+                        warmup=warmup, hardware=platform.processor() or platform.machine())
 
 
 # ---- benchmark -----------------------------------------------------------
@@ -153,19 +151,23 @@ def _model_name(encoder: str, solver: str, with_solver: bool) -> str:
     return base
 
 
+def preset_config(preset: dict, encoder: str, solver: str, ds: TrajectoryDataset,
+                  seed: int) -> ModelConfig:
+    """The model config for ``encoder`` and ``solver`` at ``preset``'s widths,
+    sized to ``ds``."""
+    return ModelConfig(encoder=encoder, n_in=ds.n, f_out=ds.f, d_model=preset["d_model"],
+                       heads=preset["heads"], latent=preset["latent"],
+                       kernel_hidden=preset["kernel_hidden"],
+                       lstm_hidden=preset["lstm_hidden"], solver=solver, dt=ds.dt, seed=seed)
+
+
 def _bench_one(encoder: str, solver: str, ds: TrajectoryDataset, task: str,
                preset: dict, train_cfg: TrainConfig, seed: int,
                time_it: bool) -> BenchmarkCell:
     cell = BenchmarkCell(model=_model_name(encoder, solver, task.startswith("1")),
                          solver=solver, task=task, seed=seed)
     try:
-        cfg = ModelConfig(encoder=encoder, n_in=ds.n, f_out=ds.f,
-                          d_model=preset["d_model"], heads=preset["heads"],
-                          latent=preset["latent"],
-                          kernel_hidden=preset["kernel_hidden"],
-                          lstm_hidden=preset["lstm_hidden"],
-                          solver=solver, dt=ds.dt, seed=seed)
-        model = build_model(cfg)
+        model = build_model(preset_config(preset, encoder, solver, ds, seed))
         train_ds, val_ds, test_ds, _ = split_dataset(ds, seed=seed)
         model.fit_normalizer(train_ds)
         train(model, train_ds, val_ds, train_cfg)

@@ -392,6 +392,13 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
         table = np.column_stack([rec.times, rec.conditions, rec.forces, rec.condition_ids])
         with atomic_write(out / name, "wb") as fh:
             np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+            if j == 0:
+                # the old manifest goes after the first new file is written and
+                # before it replaces an old one: a save cut short later leaves
+                # no manifest, so load_dataset never sees old and new files
+                # mixed; a save that fails sooner leaves the old dataset whole
+                fh.flush()
+                (out / "manifest.json").unlink(missing_ok=True)
         entry = {"file": name, "f0": [float(v) for v in rec.f0]}
         if rec.direction is not None:
             entry["direction"] = rec.direction

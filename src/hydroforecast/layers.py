@@ -50,10 +50,6 @@ class ParamRegistry:
             t.zero_grad()
 
 
-def count_params(registry: ParamRegistry) -> int:
-    return sum(t.size for t in registry.tensors())
-
-
 def collect_params(*components: tuple[str, "object"]) -> ParamRegistry:
     """Build a registry from (prefix, layer) pairs in deterministic order."""
     reg = ParamRegistry()
@@ -69,6 +65,8 @@ def xavier_uniform(fan_in: int, fan_out: int, shape, rng: np.random.Generator) -
 
 
 class LinearLayer:
+    """``x @ weight + bias`` on the last axis: a one-layer ``autodiff.mlp`` node."""
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"LinearLayer dims must be positive, got {in_dim}->{out_dim}")
@@ -81,23 +79,20 @@ class LinearLayer:
         yield "bias", self.bias
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
+        return ad.mlp((x,), (self.weight,), (self.bias,))
 
 
 class MLPBlock:
-    """Linear layers with an activation between them (none after the last).
+    """Linear layers with tanh between them (none after the last).
 
     Called on one or more input parts, which are joined along the last axis;
     the whole block is one ``autodiff.mlp`` node.
     """
 
-    def __init__(self, dims: list[int], activation: str, rng: np.random.Generator):
+    def __init__(self, dims: list[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("MLPBlock needs at least input and output dims")
-        if activation not in ad.MLP_ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         self.dims = list(dims)
-        self.activation = activation
         self.layers = [LinearLayer(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
 
     def named_parameters(self):
@@ -107,7 +102,7 @@ class MLPBlock:
 
     def __call__(self, *parts: Tensor) -> Tensor:
         return ad.mlp(parts, [layer.weight for layer in self.layers],
-                      [layer.bias for layer in self.layers], self.activation)
+                      [layer.bias for layer in self.layers])
 
 
 class MultiHeadSelfAttention:
@@ -170,7 +165,7 @@ class LSTMStack:
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
-                 num_layers: int = 2, forget_bias: float = 1.0):
+                 num_layers: int = 2):
         if input_size <= 0 or hidden_size <= 0 or num_layers <= 0:
             raise ValueError("LSTMStack dims must be positive")
         self.input_size = input_size
@@ -182,7 +177,7 @@ class LSTMStack:
             w = xavier_uniform(in_dim + hidden_size, 4 * hidden_size,
                                (in_dim + hidden_size, 4 * hidden_size), rng)
             b = np.zeros(4 * hidden_size)
-            b[hidden_size:2 * hidden_size] = forget_bias
+            b[hidden_size:2 * hidden_size] = 1.0
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(b, requires_grad=True))
 

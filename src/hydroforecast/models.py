@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .fileio import atomic_write
 from .layers import (LSTMStack, LinearLayer, MLPBlock, MultiHeadSelfAttention,
-                     ParamRegistry, collect_params, count_params)
+                     ParamRegistry, collect_params)
 from .odeint import TimeGrid, integrate
 
 ENCODERS = ("attention", "mlp", "lstm-baseline")
@@ -95,13 +95,12 @@ class ForecastModel:
         if config.encoder == "attention":
             self.embed = LinearLayer(config.n_in, config.d_model, rng)
             self.attn = MultiHeadSelfAttention(config.d_model, config.heads, rng)
-            self.enc_head = MLPBlock([config.d_model, config.d_model, config.latent],
-                                     "tanh", rng)
+            self.enc_head = MLPBlock([config.d_model, config.d_model, config.latent], rng)
             components += [("embed", self.embed), ("attn", self.attn),
                            ("enc_head", self.enc_head)]
         elif config.encoder == "mlp":
             self.enc_mlp = MLPBlock([config.n_in, config.d_model, config.d_model,
-                                     config.latent], "tanh", rng)
+                                     config.latent], rng)
             components.append(("enc_mlp", self.enc_mlp))
         if config.encoder == "lstm-baseline":
             self.lstm = LSTMStack(config.n_in + config.f_out, config.lstm_hidden, rng,
@@ -110,8 +109,7 @@ class ForecastModel:
             components += [("lstm", self.lstm), ("proj", self.proj)]
         else:
             kin = config.f_out + config.latent + (1 if config.time_input else 0)
-            self.kernel_mlp = MLPBlock([kin, *config.kernel_hidden, config.f_out],
-                                       "tanh", rng)
+            self.kernel_mlp = MLPBlock([kin, *config.kernel_hidden, config.f_out], rng)
             # zero final layer: a fresh model integrates the zero field, so
             # its prediction starts at exactly F0
             self.kernel_mlp.layers[-1].weight.data[:] = 0.0
@@ -182,7 +180,7 @@ class ForecastModel:
         return ad.mul(out, ad.expand(Tensor(self.f_scale), out.shape))
 
     def num_params(self) -> int:
-        return count_params(self.params)
+        return sum(t.size for t in self.params.tensors())
 
 
 def build_model(config: ModelConfig) -> ForecastModel:

@@ -12,7 +12,6 @@ are one tape node each, so with a one-node kernel a step adds three nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,10 +121,6 @@ def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
         state = step(state, _control_at(controls, i), grid.t0 + i * grid.dt, grid.dt, kernel)
         out.append(state)
     return _stack_states(out)
-
-
-euler_integrate = partial(integrate, "euler")
-rk4_integrate = partial(integrate, "rk4")
 
 
 def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: TimeGrid,

@@ -96,7 +96,7 @@ def test_criterion_3_gradient_correctness():
 def test_criterion_4_adjoint_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
-    mlp = MLPBlock([2 + 3, 16, 2], "tanh", rng)
+    mlp = MLPBlock([2 + 3, 16, 2], rng)
     params = list(collect_params(("k", mlp)).items())
 
     def kernel(state, control, t):

@@ -161,8 +161,8 @@ class TestBackward:
     def test_forward_deterministic(self, rng):
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=(2, 3)))
-        a = ad.reduce_sum(ad.exp(ad.matmul(x, w))).item()
-        b = ad.reduce_sum(ad.exp(ad.matmul(x, w))).item()
+        a = ad.reduce_sum(ad.sigmoid(ad.matmul(x, w))).item()
+        b = ad.reduce_sum(ad.sigmoid(ad.matmul(x, w))).item()
         assert a == b
 
 
@@ -177,7 +177,7 @@ class TestAccumulation:
             x = ad.tanh(p)  # interior, so its pending gradient is summed in place
             terms = [ad.reduce_sum(ad.mul(x, c))]
             terms += [ad.reduce_sum(ad.square(x[i])) for i in range(4)]
-            terms += [ad.reduce_sum(ad.square(x[1:3, ::2])), ad.reduce_sum(ad.exp(x))]
+            terms += [ad.reduce_sum(ad.square(x[1:3, ::2])), ad.reduce_sum(ad.sigmoid(x))]
             total = terms[0]
             for t in terms[1:]:
                 total = ad.add(total, t)
@@ -236,12 +236,14 @@ class TestAccumulation:
 
 
 class TestLinear:
+    """A one-layer, one-part ``mlp`` is the linear layer ``x @ w + b``."""
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 4, 3)])
     def test_gradients_match_finite_differences(self, rng, shape):
         x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
-        assert ad.grad_check(lambda: ad.reduce_sum(ad.tanh(ad.linear(x, w, b))),
+        assert ad.grad_check(lambda: ad.reduce_sum(ad.tanh(ad.mlp([x], [w], [b]))),
                              [x, w, b], epsilon=1e-5) < 1e-6
 
     def test_forward_and_bias_gradient_over_batch_axes(self, rng):
@@ -249,8 +251,8 @@ class TestLinear:
         w = Tensor(rng.uniform(-1, 1, (3, 5)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
         c = rng.uniform(-1, 1, (2, 4, 5))
-        y = ad.linear(x, w, b)
-        assert y.op == "linear"
+        y = ad.mlp([x], [w], [b])
+        assert y.op == "mlp"
         assert np.array_equal(y.data, np.matmul(x.data, w.data) + b.data)
         ad.backward(ad.reduce_sum(ad.mul(y, Tensor(c))))
         assert np.allclose(b.grad, c.sum(axis=(0, 1)), atol=1e-15)
@@ -258,27 +260,26 @@ class TestLinear:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+            ad.mlp([Tensor(np.zeros((2, 4)))], [Tensor(np.zeros((3, 5)))],
+                   [Tensor(np.zeros(5))])
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
+            ad.mlp([Tensor(np.zeros(3))], [Tensor(np.zeros((3, 5)))], [Tensor(np.zeros(4))])
+        with pytest.raises(ShapeError):  # a 1-d weight
+            ad.mlp([Tensor(np.zeros(3))], [Tensor(np.zeros(3))], [Tensor(np.zeros(()))])
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "relu", "exp",
-                                "square", "sigmoid", "softmax", "matmul"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "square", "sigmoid", "softmax",
+                                "matmul"])
 def test_op_gradients_match_finite_differences(op, rng):
     x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     m = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-    # keep relu inputs away from the kink where central differences break
-    x.data[np.abs(x.data) < 0.05] += 0.1
 
     funcs = {
         "add": lambda: ad.reduce_sum(ad.square(ad.add(x, y))),
         "sub": lambda: ad.reduce_sum(ad.square(ad.sub(x, y))),
         "mul": lambda: ad.reduce_sum(ad.mul(x, y)),
         "tanh": lambda: ad.reduce_sum(ad.tanh(x)),
-        "relu": lambda: ad.reduce_sum(ad.square(ad.relu(x))),
-        "exp": lambda: ad.reduce_sum(ad.exp(x)),
         "square": lambda: ad.reduce_sum(ad.square(x)),
         "sigmoid": lambda: ad.reduce_sum(ad.sigmoid(x)),
         "softmax": lambda: ad.reduce_sum(ad.square(ad.softmax_lastdim(x))),
@@ -318,6 +319,5 @@ class TestGradCheck:
 
 def test_finite_outputs_on_finite_inputs(rng):
     x = Tensor(rng.uniform(-100, 100, (4, 4)))
-    for out in (ad.tanh(x), ad.sigmoid(x), ad.softmax_lastdim(x),
-                ad.relu(x), ad.square(x)):
+    for out in (ad.tanh(x), ad.sigmoid(x), ad.softmax_lastdim(x), ad.square(x)):
         assert np.all(np.isfinite(out.data))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hydroforecast import hydrodata
 from hydroforecast.hydrodata import (
     OracleParams,
     TowingCondition,
@@ -410,6 +411,22 @@ class TestDiskFormat:
         assert np.array_equal(loaded.conditions, rec.conditions)
         assert np.array_equal(loaded.forces, rec.forces)
         assert np.array_equal(loaded.condition_ids, rec.condition_ids)
+
+    def test_cut_save_leaves_no_loadable_mix(self, tmp_path, monkeypatch):
+        save_dataset(generate("1.1", seed=1, num_trajectories=3, length=10), tmp_path)
+        real, calls = hydrodata.atomic_write, []
+
+        def failing(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(hydrodata, "atomic_write", failing)
+        with pytest.raises(OSError):
+            save_dataset(generate("1.1", seed=2, num_trajectories=3, length=10), tmp_path)
+        with pytest.raises(FileNotFoundError, match="no manifest.json"):
+            load_dataset(tmp_path)
 
     def test_splits_persist(self, tmp_path):
         ds = gen_task1("static", num_conditions=48)

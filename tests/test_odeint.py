@@ -11,9 +11,7 @@ from hydroforecast.odeint import (
     TimeGrid,
     adjoint_backward,
     convergence_slope,
-    euler_integrate,
     integrate,
-    rk4_integrate,
 )
 
 
@@ -40,49 +38,49 @@ class TestTimeGrid:
 class TestEuler:
     def test_single_decay_step(self):
         grid = TimeGrid(0.0, 0.1, 1)
-        out = euler_integrate(Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((1, 1))))
+        out = integrate("euler", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((1, 1))))
         assert out.data[0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_constant_derivative_is_exact(self):
         grid = TimeGrid(0.0, 0.25, 4)
         controls = Tensor(np.full((4, 1), 2.0))
-        out = euler_integrate(Tensor([0.0]), control_kernel, grid, controls)
+        out = integrate("euler", Tensor([0.0]), control_kernel, grid, controls)
         assert np.allclose(out.data[:, 0], [0.5, 1.0, 1.5, 2.0], atol=1e-15)
 
     def test_hundred_decay_steps(self):
         grid = TimeGrid(0.0, 0.01, 100)
-        out = euler_integrate(Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((100, 1))))
+        out = integrate("euler", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((100, 1))))
         assert out.data[-1, 0] == pytest.approx(0.99 ** 100, abs=1e-14)
 
     def test_trajectory_length(self):
         grid = TimeGrid(0.0, 0.1, 7)
-        out = euler_integrate(Tensor([1.0, 2.0]), decay_kernel, grid,
+        out = integrate("euler", Tensor([1.0, 2.0]), decay_kernel, grid,
                               Tensor(np.zeros((7, 1))))
         assert out.shape == (7, 2)
 
     def test_control_length_mismatch(self):
         grid = TimeGrid(0.0, 0.1, 5)
         with pytest.raises(ShapeError):
-            euler_integrate(Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((4, 1))))
+            integrate("euler", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((4, 1))))
 
 
 class TestRK4:
     def test_single_decay_step_hand_value(self):
         # k1=-1, k2=-0.95, k3=-0.9525, k4=-0.90475 for dt=0.1
         grid = TimeGrid(0.0, 0.1, 1)
-        out = rk4_integrate(Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((1, 1))))
+        out = integrate("rk4", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((1, 1))))
         assert out.data[0, 0] == pytest.approx(0.9048375, abs=1e-12)
 
     def test_unit_interval_accuracy(self):
         grid = TimeGrid(0.0, 0.01, 100)
-        out = rk4_integrate(Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((100, 1))))
+        out = integrate("rk4", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((100, 1))))
         assert abs(out.data[-1, 0] - math.exp(-1.0)) < 1e-9
 
     def test_matches_euler_on_constant_derivative(self):
         grid = TimeGrid(0.0, 0.5, 3)
         controls = Tensor(np.full((3, 1), -1.5))
-        e = euler_integrate(Tensor([4.0]), control_kernel, grid, controls)
-        r = rk4_integrate(Tensor([4.0]), control_kernel, grid, controls)
+        e = integrate("euler", Tensor([4.0]), control_kernel, grid, controls)
+        r = integrate("rk4", Tensor([4.0]), control_kernel, grid, controls)
         assert np.allclose(e.data, r.data, atol=1e-14)
 
 
@@ -97,7 +95,7 @@ class TestDispatch:
         c = Tensor(np.zeros((2, 1)))
         assert np.array_equal(
             integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data,
-            euler_integrate(Tensor([1.0]), decay_kernel, grid, c).data)
+            integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data)
 
 
 class TestConvergence:
@@ -119,9 +117,9 @@ class TestLinearity:
         c = Tensor(np.zeros((10, 1)))
         f1 = rng.normal(size=(1, 3))
         f2 = rng.normal(size=(1, 3))
-        out1 = euler_integrate(Tensor(f1), lin_kernel, grid, c).data
-        out2 = euler_integrate(Tensor(f2), lin_kernel, grid, c).data
-        combo = euler_integrate(Tensor(2.0 * f1 + 3.0 * f2), lin_kernel, grid, c).data
+        out1 = integrate("euler", Tensor(f1), lin_kernel, grid, c).data
+        out2 = integrate("euler", Tensor(f2), lin_kernel, grid, c).data
+        combo = integrate("euler", Tensor(2.0 * f1 + 3.0 * f2), lin_kernel, grid, c).data
         assert np.all(np.abs(combo - 2.0 * out1 - 3.0 * out2) < 1e-10)
 
 
@@ -138,7 +136,7 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("solver", ["euler", "rk4"])
     def test_matches_unrolled_mlp_kernel(self, solver, rng):
-        mlp = MLPBlock([2 + 3, 8, 2], "tanh", rng)
+        mlp = MLPBlock([2 + 3, 8, 2], rng)
         reg = collect_params(("k", mlp))
         params = list(reg.items())
 
@@ -186,7 +184,7 @@ class TestAdjoint:
         assert np.max(np.abs(a0 - df0)) < 1e-9
 
     def test_zero_loss_gradient_gives_zero(self, rng):
-        mlp = MLPBlock([2 + 1, 4, 2], "tanh", rng)
+        mlp = MLPBlock([2 + 1, 4, 2], rng)
         params = list(collect_params(("k", mlp)).items())
 
         def kernel(state, control, t):
@@ -216,7 +214,7 @@ class TestAdjoint:
         assert np.allclose(a0, [3.0, -4.0], atol=1e-14)
 
     def test_restores_existing_param_grads(self, rng):
-        mlp = MLPBlock([3, 4, 2], "tanh", rng)
+        mlp = MLPBlock([3, 4, 2], rng)
         params = list(collect_params(("k", mlp)).items())
         marker = np.full_like(params[0][1].data, 7.0)
         params[0][1].grad = marker.copy()
