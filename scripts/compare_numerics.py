@@ -9,7 +9,9 @@ back from disk, benchmark report files, and prediction CSVs. Datasets cover
 Tasks 1.1 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The
 model cases are the attention, mlp and lstm encoders x euler and rk4 x fitted
 and identity normalisers on Task 1.2 and Task 2 data, plus causal,
-positional-encoding and time-input attention models. Layer cases cover calls
+positional-encoding and time-input attention models. Each encoder x solver
+also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
+x [L, n] and F0 [f] (the CLI's), with its loss gradients and tape nodes. Layer cases cover calls
 that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, and an
 LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
 each with its output, parameter and input gradients and tape-node count.
@@ -53,7 +55,10 @@ def _tape_nodes(root) -> int:
     return len(seen)
 
 
-def _model_case(hf, out, key, ds, cfg, fitted):
+def _model_case(hf, out, key, ds, cfg, fitted, batch=BATCH):
+    """Forecast, MSE-loss gradients and tape nodes on the first ``batch``
+    trajectories, or on the first alone, unbatched, when ``batch`` is None.
+    At the default batch also attention weights and the adjoint sweep."""
     Tensor = hf.autodiff.Tensor
     model = hf.models.build_model(cfg)
     if fitted:
@@ -64,7 +69,7 @@ def _model_case(hf, out, key, ds, cfg, fitted):
         last = model.kernel_mlp.layers[-1]
         last.weight.data[:] = rng.normal(scale=0.3, size=last.weight.shape)
         last.bias.data[:] = rng.normal(scale=0.1, size=last.bias.shape)
-    x, forces, f0 = (a[:BATCH] for a in ds.stack())
+    x, forces, f0 = (a[0] if batch is None else a[:batch] for a in ds.stack())
     pred = model.predict_forces(Tensor(x), Tensor(f0))
     loss = hf.training.mse_loss(pred, Tensor(forces))
     model.params.zero_grad()
@@ -73,6 +78,8 @@ def _model_case(hf, out, key, ds, cfg, fitted):
     out[f"{key}/nodes"] = np.array(_tape_nodes(loss))
     for name, t in model.params.items():
         out[f"{key}/grad/{name}"] = np.zeros_like(t.data) if t.grad is None else t.grad
+    if batch != BATCH:
+        return
     if cfg.encoder == "attention":
         out[f"{key}/attention_weights"] = model.attn.attention_weights(
             model.embed(Tensor(x[0])), causal=cfg.causal_attention)
@@ -143,10 +150,13 @@ def dump(path) -> None:
             base = {"n_in": ds.n, "f_out": ds.f, "dt": ds.dt}
             for encoder in ("attention", "mlp", "lstm-baseline"):
                 for solver in ("euler", "rk4"):
+                    cfg = hf.models.ModelConfig(encoder=encoder, solver=solver, **base)
                     for norm in ("fitted", "identity"):
-                        cfg = hf.models.ModelConfig(encoder=encoder, solver=solver, **base)
                         _model_case(hf, out, f"{task}/{encoder}/{solver}/{norm}", ds, cfg,
                                     norm == "fitted")
+                    for tag, batch in (("batch1", 1), ("unbatched", None)):
+                        _model_case(hf, out, f"{task}/{encoder}/{solver}/fitted/{tag}", ds,
+                                    cfg, True, batch)
             for variant, flags in VARIANTS.items():
                 for solver in ("euler", "rk4"):
                     cfg = hf.models.ModelConfig(solver=solver, **base, **flags)

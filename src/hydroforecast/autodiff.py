@@ -25,8 +25,9 @@ through time as its VJP. Both write ``x @ w + b`` and its gradients through
 the numpy helpers ``_dense`` and ``_dense_vjp``, so that math exists once.
 Each computes its forward and gradients as the unfused chain of small ops
 does, so both are bit-identical to that chain (``lstm_layer``'s weight
-gradients up to the order of a batched sum). ``odeint`` adds the solver's
-update and stack nodes.
+gradients up to the order of a batched sum). ``odeint`` adds a whole-solve
+node for the model's MLP kernel, built on ``mlp``'s helpers ``_mlp_forward``
+and ``_mlp_vjp``, and the solver's update and stack nodes for other kernels.
 """
 
 from __future__ import annotations
@@ -232,6 +233,43 @@ def _dense_vjp(x2: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
     return gx, gw, _reduce_to(g, w.shape[1:])
 
 
+def _check_layers(shape: tuple[int, ...], weights: Sequence[Tensor],
+                  biases: Sequence[Tensor]) -> None:
+    """Raise ShapeError unless the layers chain from an input of ``shape``."""
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2 or shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+            raise ShapeError(f"mlp: layer {i} weight {w.shape} and bias {b.shape} do not "
+                             f"fit an input of shape {shape}")
+        shape = shape[:-1] + (w.shape[1],)
+
+
+def _mlp_forward(x: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]):
+    """The MLP's output for input ``x``, with what ``_mlp_vjp`` needs: each
+    layer's input as the matmul saw it, and the hidden tanh outputs."""
+    inputs, acts = [], []
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        x, x2 = _dense(x, w, b)
+        inputs.append(x2)
+        if i < len(ws) - 1:
+            x = np.tanh(x)
+            acts.append(x)
+    return x, inputs, acts
+
+
+def _mlp_vjp(inputs, acts, ws: Sequence[np.ndarray], g: np.ndarray, need_gx: bool):
+    """Gradients of ``_mlp_forward`` for output gradient ``g``: the input's
+    (shaped as the first matmul saw it, None unless ``need_gx``), and lists of
+    the weights' and the biases'."""
+    gws, gbs = [None] * len(ws), [None] * len(ws)
+    for i in reversed(range(len(ws))):
+        if i < len(ws) - 1:
+            g = g * (1.0 - acts[i] * acts[i])
+        g, gws[i], gbs[i] = _dense_vjp(inputs[i], ws[i], g, i > 0 or need_gx)
+        if i > 0:
+            g = g.reshape(acts[i - 1].shape)
+    return g, gws, gbs
+
+
 def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
     """A whole MLP block as one node: dense layers ``x @ w + b`` with tanh
     between them (none after the last), applied to the concatenation of
@@ -247,28 +285,13 @@ def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Ten
     if not parts or any(p.ndim == 0 or p.shape[:-1] != parts[0].shape[:-1] for p in parts):
         raise ShapeError(f"mlp: parts {[p.shape for p in parts]} do not share leading axes")
     x = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], -1)
-    inputs, acts = [], []  # each layer's input as the matmul saw it; hidden tanh outputs
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-            raise ShapeError(f"mlp: layer {i} weight {w.shape} and bias {b.shape} do not "
-                             f"fit an input of shape {x.shape}")
-        x, x2 = _dense(x, w.data, b.data)
-        inputs.append(x2)
-        if i < len(weights) - 1:
-            x = np.tanh(x)
-            acts.append(x)
+    _check_layers(x.shape, weights, biases)
+    ws = [w.data for w in weights]
+    y, inputs, acts = _mlp_forward(x, ws, [b.data for b in biases])
 
     def vjp(g):
-        gws, gbs = [], []
         need_gx = any(p.requires_grad for p in parts)
-        for i in reversed(range(len(weights))):
-            if i < len(weights) - 1:
-                g = g * (1.0 - acts[i] * acts[i])
-            g, gw, gb = _dense_vjp(inputs[i], weights[i].data, g, i > 0 or need_gx)
-            gws.append(gw)
-            gbs.append(gb)
-            if i > 0:
-                g = g.reshape(acts[i - 1].shape)
+        g, gws, gbs = _mlp_vjp(inputs, acts, ws, g, need_gx)
         if not need_gx:
             gparts = [None] * len(parts)
         elif len(parts) == 1:
@@ -276,9 +299,9 @@ def mlp(parts: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Ten
         else:
             gparts = _split(g.reshape(parts[0].shape[:-1] + (-1,)),
                             [p.shape[-1] for p in parts], -1)
-        return (*gparts, *gws[::-1], *gbs[::-1])
+        return (*gparts, *gws, *gbs)
 
-    return Tensor._make(x, (*parts, *weights, *biases), vjp, "mlp")
+    return Tensor._make(y, (*parts, *weights, *biases), vjp, "mlp")
 
 
 def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

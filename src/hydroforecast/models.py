@@ -3,7 +3,8 @@
 Each model maps a kinematic condition sequence plus a true initial force to
 a predicted force trajectory of the same length. ODE variants encode the
 conditions into per-step latent controls and integrate a learned vector
-field from F0; the LSTM baseline sees F0 concatenated onto every input row.
+field, an ``odeint.MLPKernel``, from F0, so the whole solve is one tape
+node; the LSTM baseline sees F0 concatenated onto every input row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .autodiff import ShapeError, Tensor
 from .fileio import atomic_write
 from .layers import (LSTMStack, LinearLayer, MLPBlock, MultiHeadSelfAttention,
                      ParamRegistry, collect_params)
-from .odeint import TimeGrid, integrate
+from .odeint import MLPKernel, TimeGrid, integrate
 
 ENCODERS = ("attention", "mlp", "lstm-baseline")
 SOLVERS = ("euler", "rk4")
@@ -115,6 +116,9 @@ class ForecastModel:
             self.kernel_mlp.layers[-1].weight.data[:] = 0.0
             self.kernel_mlp.layers[-1].bias.data[:] = 0.0
             components.append(("kernel", self.kernel_mlp))
+            self.kernel = MLPKernel([layer.weight for layer in self.kernel_mlp.layers],
+                                    [layer.bias for layer in self.kernel_mlp.layers],
+                                    config.time_input)
         self.params: ParamRegistry = collect_params(*components)
 
     # ---- normalization --------------------------------------------------
@@ -148,12 +152,6 @@ class ForecastModel:
             emb = ad.add(emb, ad.expand(Tensor(pe), emb.shape))
         ctx = ad.add(emb, self.attn(emb, causal=cfg.causal_attention))
         return self.enc_head(ctx)
-
-    def kernel(self, state: Tensor, control: Tensor, t: float) -> Tensor:
-        parts = [state, control]
-        if self.config.time_input:
-            parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
-        return self.kernel_mlp(*parts)
 
     def predict_forces(self, x: Tensor, f0: Tensor, grid: TimeGrid | None = None) -> Tensor:
         """Forces [..., L, f_out] from raw conditions [..., L, n_in] and F0 [..., f_out]."""
@@ -240,6 +238,27 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
+def _load_normalizer(model: ForecastModel, norm) -> None:
+    """Set the model's normalizer from a checkpoint header, or raise
+    CheckpointError unless every array has the model's width, every value is
+    finite and both scales are positive."""
+    widths = {"x_mean": model.config.n_in, "x_std": model.config.n_in,
+              "f_scale": model.config.f_out}
+    try:
+        stats = {k: np.asarray(norm[k], dtype=np.float64) for k in widths}
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid normalizer: {e!r}") from None
+    for k, v in stats.items():
+        if v.shape != (widths[k],):
+            raise CheckpointError(f"normalizer {k} has shape {v.shape}, expected "
+                                  f"({widths[k]},)")
+        if not np.all(np.isfinite(v)):
+            raise CheckpointError(f"normalizer {k} has non-finite values")
+        if k != "x_mean" and not np.all(v > 0):
+            raise CheckpointError(f"normalizer {k} has values <= 0")
+    model.x_mean, model.x_std, model.f_scale = stats["x_mean"], stats["x_std"], stats["f_scale"]
+
+
 def checkpoint_load(path) -> ForecastModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -263,9 +282,7 @@ def checkpoint_load(path) -> ForecastModel:
     model = build_model(config)
     norm = header.get("normalizer")
     if norm:
-        model.x_mean = np.asarray(norm["x_mean"], dtype=np.float64)
-        model.x_std = np.asarray(norm["x_std"], dtype=np.float64)
-        model.f_scale = np.asarray(norm["f_scale"], dtype=np.float64)
+        _load_normalizer(model, norm)
     loaded: set[str] = set()
     while r.pos < len(body):
         (nlen,) = r.unpack("<I")

@@ -3,10 +3,17 @@
 Two gradient paths are supported: backprop through the unrolled solver
 (the default used in training) and a step-reversed adjoint sweep that
 rebuilds one solver step at a time, so memory stays O(1) in the horizon.
-Controls are zero-order held across a step, including RK4 substages. The
-Euler update, each RK4 stage point, the RK4 update and the trajectory stack
-are one tape node each, so with a one-node kernel a step adds three nodes
-(Euler) or nine (RK4), counting the control slice.
+Controls are zero-order held across a step, including RK4 substages.
+
+With the model's vector field, an ``MLPKernel``, the whole solve is one tape
+node: its forward runs the step loop on numpy arrays, and its VJP is the
+discrete adjoint of that loop, each stage reversed through the MLP's
+hand-written VJP. It repeats the taped path's expressions and adds every
+gradient in the order the tape sweep would, so trajectories and gradients
+are bit-identical to it. Any other kernel is taped step by step: the Euler
+update, each RK4 stage point, the RK4 update and the trajectory stack are
+one node each, so with a one-node kernel a step adds three nodes (Euler) or
+nine (RK4), counting the control slice.
 """
 
 from __future__ import annotations
@@ -38,6 +45,25 @@ class TimeGrid:
 
 # A Kernel maps (state [..., f], control [..., latent], t) -> derivative [..., f].
 Kernel = Callable[[Tensor, Tensor, float], Tensor]
+
+
+class MLPKernel:
+    """The model's vector field: an MLP on ``[state, control]``, with ``t``
+    appended as one more column when ``time_input`` is set.
+
+    Called, it is one taped ``autodiff.mlp`` node like any kernel;
+    ``integrate`` instead runs a whole solve with it as one node.
+    """
+
+    def __init__(self, weights: Sequence[Tensor], biases: Sequence[Tensor],
+                 time_input: bool = False):
+        self.weights, self.biases, self.time_input = list(weights), list(biases), time_input
+
+    def __call__(self, state: Tensor, control: Tensor, t: float) -> Tensor:
+        parts = [state, control]
+        if self.time_input:
+            parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
+        return ad.mlp(parts, self.weights, self.biases)
 
 
 def _control_at(controls: Tensor, i: int) -> Tensor:
@@ -112,15 +138,111 @@ def _step_fn(solver: str):
 
 def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
               controls: Tensor) -> Tensor:
-    """States at t1..t_steps; step i runs from t_i = t0 + i*dt with control c_i."""
+    """States at t1..t_steps; step i runs from t_i = t0 + i*dt with control c_i.
+
+    An ``MLPKernel`` makes the whole solve one node (``_mlp_solve``); any
+    other kernel is taped step by step.
+    """
     step = _step_fn(solver)
     _check_lengths(controls, grid)
+    if isinstance(kernel, MLPKernel):
+        return _mlp_solve(solver, f0, kernel, grid, controls)
     state = f0
     out = []
     for i in range(grid.steps):
         state = step(state, _control_at(controls, i), grid.t0 + i * grid.dt, grid.dt, kernel)
         out.append(state)
     return _stack_states(out)
+
+
+def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
+               controls: Tensor) -> Tensor:
+    """The taped path's trajectory as one node, with the discrete adjoint as
+    its VJP. Parents: F0, controls, the kernel's weights and its biases."""
+    lead = f0.shape[:-1]
+    if f0.ndim == 0 or controls.shape[:-2] != lead:
+        raise ShapeError(f"F0 {f0.shape} and controls {controls.shape} do not share "
+                         "leading axes")
+    f = f0.shape[-1]
+    ad._check_layers(lead + (f + controls.shape[-1] + kernel.time_input,),
+                     kernel.weights, kernel.biases)
+    if kernel.weights[-1].shape[1] != f:
+        raise ShapeError(f"kernel output width {kernel.weights[-1].shape[1]} != state "
+                         f"shape {f0.shape}")
+    parents = (f0, controls, *kernel.weights, *kernel.biases)
+    track = any(p.requires_grad for p in parents)
+    ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
+    caches = []  # per kernel evaluation, in order: the MLP's layer inputs and activations
+
+    def field(s, c, t):
+        parts = [s, c, np.full(lead + (1,), t)] if kernel.time_input else [s, c]
+        k, inputs, acts = ad._mlp_forward(np.concatenate(parts, -1), ws, bs)
+        if track:
+            caches.append((inputs, acts))
+        return k
+
+    dt, s, states = grid.dt, f0.data, []
+    for i in range(grid.steps):
+        c, t = controls.data[..., i, :], grid.t0 + i * dt
+        if solver == "euler":
+            s = s + field(s, c, t) * float(dt)
+        else:
+            k1 = field(s, c, t)
+            k2 = field(s + k1 * float(dt / 2.0), c, t + dt / 2.0)
+            k3 = field(s + k2 * float(dt / 2.0), c, t + dt / 2.0)
+            k4 = field(s + k3 * float(dt), c, t + dt)
+            s = s + ((k1 + k2 * 2.0) + (k3 * 2.0 + k4)) * float(dt / 6.0)
+        states.append(s)
+    out = np.stack(states, axis=-2)
+    if not track:
+        return Tensor(out)
+
+    def vjp(g):
+        """Reverse every stage; each sum adds its terms in the order the tape
+        sweep adds the gradients of the unfused nodes."""
+        gws, gbs = [None] * len(ws), [None] * len(ws)
+        gc_all = np.zeros(controls.shape) if controls.requires_grad else None
+
+        def stage(j, gk, need_gx):
+            """dL/d(state) and dL/d(control) of evaluation j, given dL/dk."""
+            gx, gw_j, gb_j = ad._mlp_vjp(*caches[j], ws, gk, need_gx)
+            for acc, new in ((gws, gw_j), (gbs, gb_j)):
+                for layer, a in enumerate(new):
+                    if acc[layer] is None:
+                        acc[layer] = np.array(a)
+                    else:
+                        acc[layer] += a
+            if gx is None:
+                return None, None
+            gx = gx.reshape(lead + (-1,))
+            return gx[..., :f], None if gc_all is None else gx[..., f:f + controls.shape[-1]]
+
+        g_s = g[..., grid.steps - 1, :]
+        for i in reversed(range(grid.steps)):
+            # g_s is dL/d(state after step i); the first evaluation of step 0
+            # reads F0, which may need no gradient
+            first_gx = i > 0 or f0.requires_grad or gc_all is not None
+            if solver == "euler":
+                gs_k, gc = stage(i, g_s * float(dt), first_gx)
+                terms = (g_s, gs_k)
+            else:
+                g1 = g_s * float(dt / 6.0)
+                g2 = g1 * 2.0
+                ga3, c4 = stage(4 * i + 3, g1, True)
+                ga2, c3 = stage(4 * i + 2, g2 + ga3 * float(dt), True)
+                ga1, c2 = stage(4 * i + 1, g2 + ga2 * float(dt / 2.0), True)
+                gs_k, c1 = stage(4 * i, g1 + ga1 * float(dt / 2.0), first_gx)
+                gc = None if gc_all is None else ((c4 + c3) + c2) + c1
+                terms = (g_s, ga3, ga2, ga1, gs_k)
+            if gc_all is not None:
+                gc_all[..., i, :] += gc
+            g_s = g[..., i - 1, :] if i > 0 else None
+            if i > 0 or f0.requires_grad:
+                for term in terms:
+                    g_s = term if g_s is None else g_s + term
+        return (g_s, gc_all, *gws, *gbs)
+
+    return Tensor._make(out, parents, vjp, "solve")
 
 
 def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: TimeGrid,

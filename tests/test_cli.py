@@ -8,7 +8,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from hydroforecast.models import checkpoint_load, checkpoint_save
 
 CLI = [sys.executable, "-m", "hydroforecast.cli"]
 
@@ -262,6 +265,19 @@ class TestPredictEval:
                     "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
         assert r.returncode == 5
         assert "corrupt" in r.stderr.lower()
+
+    @pytest.mark.parametrize("key,value", [("x_mean", [0.0] * 5),
+                                           ("x_std", [1.0, float("nan"), 1.0, 1.0])])
+    def test_normalizer_that_does_not_fit_exit_5(self, checkpoint, dataset_dir, tmp_path,
+                                                 key, value):
+        model = checkpoint_load(checkpoint)
+        setattr(model, key, np.array(value))
+        bad = tmp_path / "bad.ckpt"
+        checkpoint_save(model, bad)
+        r = run_cli("predict", "--checkpoint", str(bad),
+                    "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
+        assert r.returncode == 5
+        assert "corrupt" in r.stderr.lower() and key in r.stderr
 
     def test_missing_checkpoint_exit_3(self, dataset_dir, tmp_path):
         r = run_cli("predict", "--checkpoint", str(tmp_path / "none.ckpt"),

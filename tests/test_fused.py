@@ -2,8 +2,11 @@
 
 ``autodiff.mlp``, ``autodiff.lstm_layer`` and the solver's update and stack
 nodes must give the same forward bytes as the chains of small ops below, and
-gradients that match central differences. The tape-budget tests hold a
-forecast to one node per layer call.
+gradients that match central differences. The whole-solve node that
+``integrate`` builds for an ``MLPKernel`` must give the same bytes, forward
+and every gradient, as ``integrate`` taping the same MLP step by step. The
+tape-budget tests hold a forecast to one node per layer call and one for the
+solve.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.hydrodata import generate
 from hydroforecast.layers import LSTMStack, MLPBlock
 from hydroforecast.models import ModelConfig, build_model
+from hydroforecast.odeint import MLPKernel, TimeGrid
 
 EPS = 1e-6
 TOL = 1e-5
@@ -292,6 +296,95 @@ class TestSolverNodes:
             odeint._rk4_update(state, [state, state, state, Tensor(np.zeros(3))], 0.1)
 
 
+# ---- the whole solve ------------------------------------------------------------
+
+
+@st.composite
+def solve_cases(draw):
+    """Solver, time input, leading axes (none for a 1-d state), state and
+    control widths, hidden widths, steps, t0, dt, whether F0 and the controls
+    require a gradient, and a seed."""
+    return (draw(st.sampled_from(["euler", "rk4"])), draw(st.booleans()),
+            draw(st.sampled_from([(), (2,), (2, 3)])), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.lists(st.integers(1, 4), max_size=2)),
+            draw(st.integers(1, 4)), draw(st.floats(-1.0, 1.0, allow_nan=False)),
+            draw(st.floats(1e-3, 0.5, allow_nan=False)), draw(st.booleans()),
+            draw(st.booleans()), draw(seeds))
+
+
+def _solve_inputs(case, grads=None):
+    """F0, controls, the MLP, its ``MLPKernel`` and an independent plain
+    closure over the same MLP; ``grads`` overrides the drawn requires_grad."""
+    solver, time_input, lead, f, latent, hidden, steps, t0, dt, f0_grad, c_grad, seed = case
+    if grads is not None:
+        f0_grad = c_grad = grads
+    rng = np.random.default_rng(seed)
+    block = MLPBlock([f + latent + time_input, *hidden, f], rng)
+    kernel = MLPKernel([layer.weight for layer in block.layers],
+                       [layer.bias for layer in block.layers], time_input)
+
+    def closure(state, control, t):
+        parts = [state, control]
+        if time_input:
+            parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
+        return block(*parts)
+
+    f0 = Tensor(rng.normal(size=lead + (f,)), requires_grad=f0_grad)
+    controls = Tensor(rng.normal(size=lead + (steps, latent)), requires_grad=c_grad)
+    return f0, controls, block, kernel, closure, TimeGrid(t0, dt, steps)
+
+
+class TestSolve:
+    @given(solve_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_taped_solve(self, case):
+        solver, seed = case[0], case[-1]
+        f0, controls, block, kernel, closure, grid = _solve_inputs(case)
+        fused = odeint.integrate(solver, f0, kernel, grid, controls)
+        taped = odeint.integrate(solver, f0, closure, grid, controls)
+        assert _same_bytes(fused.data, taped.data)
+        assert fused.op == "solve" and _non_leaf(fused) == 1
+        tensors = [f0, controls, *(t for _, t in block.named_parameters())]
+        for a, b in zip(_grads(_weighted_sum(fused, seed), tensors),
+                        _grads(_weighted_sum(taped, seed), tensors)):
+            assert _same_bytes(a, b)
+
+    @given(solve_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_gradients_match_central_differences(self, case):
+        solver, seed = case[0], case[-1]
+        f0, controls, block, kernel, _, grid = _solve_inputs(case, grads=True)
+        params = [f0, controls, *(t for _, t in block.named_parameters())]
+        err = ad.grad_check(
+            lambda: _weighted_sum(odeint.integrate(solver, f0, kernel, grid, controls), seed),
+            params, epsilon=EPS)
+        assert err <= 1e-4
+
+    def test_no_tape_without_gradients(self, rng):
+        kernel = MLPKernel([Tensor(rng.normal(size=(5, 2)))], [Tensor(np.zeros(2))])
+        out = odeint.integrate("rk4", Tensor(np.ones(2)), kernel, TimeGrid(0.0, 0.1, 3),
+                               Tensor(np.ones((3, 3))))
+        assert out.shape == (3, 2) and out._vjp is None and not out.requires_grad
+
+    @pytest.mark.parametrize("f0_shape,controls_shape,widths", [
+        ((2, 2), (3, 4, 3), (2, 3)),  # leading axes differ
+        ((2,), (2, 4, 3), (2, 3)),  # a 1-d state with batched controls
+        ((2, 2), (2, 5, 3), (2, 3)),  # controls longer than the grid
+        ((2, 2), (2, 4, 4), (2, 3)),  # a control width the kernel does not take
+        ((2, 2), (2, 4, 3), (3, 3)),  # a kernel output wider than the state
+    ])
+    def test_shape_errors(self, rng, f0_shape, controls_shape, widths):
+        f, latent = widths
+        block = MLPBlock([2 + latent, 4, f], rng)
+        kernel = MLPKernel([layer.weight for layer in block.layers],
+                           [layer.bias for layer in block.layers])
+        f0, controls = Tensor(np.zeros(f0_shape)), Tensor(np.zeros(controls_shape))
+        for k in (kernel, lambda s, c, t: block(s, c)):  # fused, then taped
+            for solver in ("euler", "rk4"):
+                with pytest.raises(ShapeError):
+                    odeint.integrate(solver, f0, k, TimeGrid(0.0, 0.1, 4), controls)
+
+
 # ---- tape budget ---------------------------------------------------------------
 
 
@@ -299,8 +392,10 @@ class TestTapeBudget:
     @pytest.mark.parametrize("solver,per_step", [("euler", 3), ("rk4", 9)])
     def test_forecast_nodes_per_step(self, solver, per_step):
         """A Task-2-shaped attention forecast: an encoder whose size does not
-        depend on L, then at most ``per_step`` nodes per solver step, then a
-        fixed overhead (kernel parameters, F0 and output scaling, the stack)."""
+        depend on L, then at most 16 nodes whatever L is (the solve, kernel
+        parameters, F0 and output scaling). The same kernel called through a
+        plain closure is taped step by step, at most ``per_step`` nodes a
+        step plus the stack."""
         extra = {}
         for length in (40, 80):
             ds = generate("2", seed=0, num_trajectories=1, length=length)
@@ -309,8 +404,12 @@ class TestTapeBudget:
                                             f_out=ds.f, dt=ds.dt))
             forecast = len(_tape(model.predict_forces(Tensor(x), Tensor(f0))))
             extra[length] = forecast - len(_tape(model.encode_conditions(Tensor(x))))
-            assert extra[length] <= per_step * length + 16
-        assert extra[80] - extra[40] <= per_step * 40
+            assert extra[length] <= 16
+            controls = Tensor(model.encode_conditions(Tensor(x)).data, requires_grad=True)
+            taped = odeint.integrate(solver, Tensor(f0), lambda s, c, t: model.kernel(s, c, t),
+                                     TimeGrid(0.0, ds.dt, length), controls)
+            assert _non_leaf(taped) <= per_step * length + 1
+        assert extra[80] == extra[40]
 
     def test_lstm_stack_one_node_per_layer(self, rng):
         for layers in (1, 3):

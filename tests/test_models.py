@@ -289,6 +289,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("x_mean", np.zeros(5)), ("x_std", np.ones(3)), ("f_scale", np.ones(4)),
+        ("x_mean", np.zeros((2, 2))), ("x_std", np.array([1.0, np.nan, 1.0, 1.0])),
+        ("x_mean", np.array([0.0, np.inf, 0.0, 0.0])), ("f_scale", np.array([1.0, np.nan])),
+        ("x_std", np.array([1.0, 0.0, 1.0, 1.0])), ("f_scale", np.array([-1.0, 1.0])),
+    ])
+    def test_normalizer_that_does_not_fit_rejected(self, tmp_path, key, value):
+        model = build_model(TINY)
+        setattr(model, key, value)
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(model, path)
+        with pytest.raises(CheckpointError, match=key):
+            checkpoint_load(path)
+
+    def test_normalizer_round_trip(self, tmp_path):
+        model = build_model(TINY)
+        model.x_mean, model.x_std = np.array([1.0, -2.0, 0.0, 3.0]), np.full(4, 0.5)
+        model.f_scale = np.array([2.0, 1e-8])
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(model, path)
+        loaded = checkpoint_load(path)
+        for key in ("x_mean", "x_std", "f_scale"):
+            assert np.array_equal(getattr(loaded, key), getattr(model, key))
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
