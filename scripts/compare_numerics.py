@@ -3,26 +3,26 @@
 
 Each tree runs in its own interpreter and dumps a fixed set of results:
 forecasts, every parameter gradient and the tape-node count of an MSE loss,
-adjoint kernel gradients and dL/dF0, attention weights, the raw bytes of every
-dataset file written (trajectory CSVs and manifest.json), the datasets read
-back from disk, benchmark report files, and prediction CSVs. Datasets cover
-Tasks 1.1 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The
-model cases are the attention, mlp and lstm encoders x euler and rk4 x fitted
-and identity normalisers on Task 1.2 and Task 2 data, plus causal,
-positional-encoding and time-input attention models. Each encoder x solver
+adjoint kernel gradients and dL/dF0, attention weights, the raw bytes of each
+model's saved checkpoint, the raw bytes of every dataset file written
+(trajectory CSVs and manifest.json), the datasets read back from disk,
+benchmark report files, and prediction CSVs. Datasets cover Tasks 1.1
+(static, towed from rest), 1.2, 1.3 (noise injection) and 2. The model cases
+are the attention, mlp and lstm encoders x euler and rk4 x fitted and
+identity normalisers on Task 1.2 and Task 2 data. Each encoder x solver
 also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
 x [L, n] and F0 [f] (the CLI's), with its loss gradients and tape nodes. Layer cases cover calls
 that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, and an
 LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
 each with its output, parameter and input gradients and tape-node count.
 
-Forecasts, attention weights, dataset files and arrays, report files and
-prediction CSVs must be byte-identical. Parameter gradients and adjoint outputs
-may differ by float64 round-off from a reordered summation (a fused op adds a
-bias gradient's terms in another order, and an LSTM layer on two batch axes
-sums its per-step weight gradients as batched matmuls): at most 1e-14 times the
-array's largest magnitude, or 1e-14 absolute where that is below 1. Tape-node
-counts may fall but must not rise.
+Forecasts, attention weights, checkpoint files, dataset files and arrays,
+report files and prediction CSVs must be byte-identical. Parameter gradients
+and adjoint outputs may differ by float64 round-off from a reordered summation
+(a fused op adds a bias gradient's terms in another order, and an LSTM layer on
+two batch axes sums its per-step weight gradients as batched matmuls): at most
+1e-14 times the array's largest magnitude, or 1e-14 absolute where that is
+below 1. Tape-node counts may fall but must not rise.
 
     python scripts/compare_numerics.py --base path/to/old/src --head src
 """
@@ -39,9 +39,6 @@ import numpy as np
 DATA_TASKS = {"1.1": {"num_trajectories": 4, "length": 30}, "1.3": {"num_trajectories": 6}}
 TASKS = {"1.2": {"num_trajectories": 6}, "2": {"num_trajectories": 4, "length": 80}}
 BATCH = 3
-VARIANTS = {"causal": {"causal_attention": True},
-            "positional": {"positional_encoding": True},
-            "time_input": {"time_input": True}}
 ROUNDOFF = 1e-14
 
 
@@ -55,10 +52,11 @@ def _tape_nodes(root) -> int:
     return len(seen)
 
 
-def _model_case(hf, out, key, ds, cfg, fitted, batch=BATCH):
+def _model_case(hf, out, key, ds, cfg, fitted, tmp, batch=BATCH):
     """Forecast, MSE-loss gradients and tape nodes on the first ``batch``
     trajectories, or on the first alone, unbatched, when ``batch`` is None.
-    At the default batch also attention weights and the adjoint sweep."""
+    At the default batch also the saved checkpoint's bytes, attention weights
+    and the adjoint sweep."""
     Tensor = hf.autodiff.Tensor
     model = hf.models.build_model(cfg)
     if fitted:
@@ -80,9 +78,12 @@ def _model_case(hf, out, key, ds, cfg, fitted, batch=BATCH):
         out[f"{key}/grad/{name}"] = np.zeros_like(t.data) if t.grad is None else t.grad
     if batch != BATCH:
         return
+    ckpt = Path(tmp, "model.ckpt")
+    hf.models.checkpoint_save(model, ckpt)
+    out[f"{key}/checkpoint"] = np.frombuffer(ckpt.read_bytes(), np.uint8)
     if cfg.encoder == "attention":
         out[f"{key}/attention_weights"] = model.attn.attention_weights(
-            model.embed(Tensor(x[0])), causal=cfg.causal_attention)
+            model.embed(Tensor(x[0])))
     if cfg.encoder == "lstm-baseline":
         return
     controls = Tensor(model.encode_conditions(Tensor(x)).data)
@@ -153,14 +154,10 @@ def dump(path) -> None:
                     cfg = hf.models.ModelConfig(encoder=encoder, solver=solver, **base)
                     for norm in ("fitted", "identity"):
                         _model_case(hf, out, f"{task}/{encoder}/{solver}/{norm}", ds, cfg,
-                                    norm == "fitted")
+                                    norm == "fitted", tmp)
                     for tag, batch in (("batch1", 1), ("unbatched", None)):
                         _model_case(hf, out, f"{task}/{encoder}/{solver}/fitted/{tag}", ds,
-                                    cfg, True, batch)
-            for variant, flags in VARIANTS.items():
-                for solver in ("euler", "rk4"):
-                    cfg = hf.models.ModelConfig(solver=solver, **base, **flags)
-                    _model_case(hf, out, f"{task}/{variant}/{solver}/fitted", ds, cfg, True)
+                                    cfg, True, tmp, batch)
         _layer_cases(hf, out)
         ev = hf.evalbench
         table = ev.BenchmarkTable(

@@ -28,6 +28,7 @@ DIRECTIONS = (("X", (1.0, 0.0)),
 JOINT_LIMIT = 2.6
 JOINT_GRID_SIZE = 4
 SEGMENT_LEN = 10
+RELAX_SUBSTEPS = 4  # RK4 substeps per sample period of the sensor relaxation
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,14 @@ def steady_wrench(cond: TowingCondition, p: OracleParams) -> np.ndarray:
     return np.concatenate([force, torque], axis=-1)
 
 
-def _relax(targets: np.ndarray, w_init: np.ndarray, dt: float, tau: float,
-           substeps: int = 4) -> np.ndarray:
+def _relax(targets: np.ndarray, w_init: np.ndarray, dt: float, tau: float) -> np.ndarray:
     """``simulate_measured_wrench`` on ``[..., L, 6]`` targets and ``[..., 6]`` w_init."""
     w = np.asarray(w_init, dtype=np.float64)
-    h = dt / substeps
+    h = dt / RELAX_SUBSTEPS
     out = np.empty_like(targets)
     for i in range(targets.shape[-2]):
         ss = targets[..., i, :]
-        for _ in range(substeps):
+        for _ in range(RELAX_SUBSTEPS):
             k1 = (ss - w) / tau
             k2 = (ss - (w + 0.5 * h * k1)) / tau
             k3 = (ss - (w + 0.5 * h * k2)) / tau
@@ -117,8 +117,8 @@ def _relax(targets: np.ndarray, w_init: np.ndarray, dt: float, tau: float,
 
 
 def simulate_measured_wrench(conditions: list[TowingCondition], p: OracleParams,
-                             dt: float = DEFAULT_DT, w_init: np.ndarray | None = None,
-                             substeps: int = 4) -> np.ndarray:
+                             dt: float = DEFAULT_DT,
+                             w_init: np.ndarray | None = None) -> np.ndarray:
     """First-order sensor relaxation toward the steady wrench, RK4-integrated.
 
     Row i is the measured wrench after relaxing over one sample period with
@@ -126,8 +126,7 @@ def simulate_measured_wrench(conditions: list[TowingCondition], p: OracleParams,
     wrench of the first condition.
     """
     targets = np.stack([steady_wrench(c, p) for c in conditions])
-    return _relax(targets, targets[0] if w_init is None else w_init, dt, p.tau_relax,
-                  substeps)
+    return _relax(targets, targets[0] if w_init is None else w_init, dt, p.tau_relax)
 
 
 # ---- dataset containers --------------------------------------------------
@@ -168,8 +167,8 @@ class TrajectoryDataset:
         f0 = np.stack([r.f0 for r in self.records])
         return x, fr, f0
 
-    def subset(self, ids: list[int], variant_suffix: str = "") -> "TrajectoryDataset":
-        return TrajectoryDataset(task=self.task, variant=self.variant + variant_suffix,
+    def subset(self, ids: list[int]) -> "TrajectoryDataset":
+        return TrajectoryDataset(task=self.task, variant=self.variant,
                                  n=self.n, f=self.f, length=self.length, dt=self.dt,
                                  seed=self.seed, noise_fraction=self.noise_fraction,
                                  oracle=self.oracle,
@@ -202,12 +201,11 @@ def _traj_rng(seed: int, index: int, stream: int) -> np.random.Generator:
 
 def gen_task1(variant: str, num_conditions: int = 192, length: int | None = None,
               dt: float = DEFAULT_DT, seed: int = 0,
-              params: OracleParams | None = None,
               noise_fraction: float = 0.1) -> TrajectoryDataset:
     """Task 1 datasets: static conditions, switching segments, or noisy switching."""
     if variant not in ("static", "switching", "noisy"):
         raise ValueError(f"unknown task 1 variant {variant!r}")
-    p = params or OracleParams()
+    p = OracleParams()
     grid = task1_condition_grid()
     if not 1 <= num_conditions <= len(grid):
         raise ValueError(f"num_conditions must be in [1, {len(grid)}]")
@@ -249,8 +247,7 @@ def _inject_noise(ds: TrajectoryDataset, seed: int, fraction: float) -> None:
 
 
 def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT_DT,
-              seed: int = 0, params: OracleParams | None = None,
-              noise_fraction: float = 0.1) -> TrajectoryDataset:
+              seed: int = 0, noise_fraction: float = 0.1) -> TrajectoryDataset:
     """Task 2: 35-dim kinematic conditions, 6-dim wrench, segment-switched speed."""
     if length < 40:
         raise ValueError("task 2 length must be >= 40")
@@ -258,7 +255,7 @@ def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT
         raise ValueError(f"task 2 length must be a multiple of {SEGMENT_LEN}")
     if num_trajectories < 1:
         raise ValueError("task 2 needs at least one trajectory")
-    p = params or OracleParams()
+    p = OracleParams()
     num_segments = length // SEGMENT_LEN
     draws = []
     for j in range(num_trajectories):
@@ -319,15 +316,14 @@ _TASK1_VARIANTS = {"1.1": "static", "1.2": "switching", "1.3": "noisy"}
 
 
 def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
-             dt: float = DEFAULT_DT, length: int | None = None,
-             params: OracleParams | None = None) -> TrajectoryDataset:
+             dt: float = DEFAULT_DT, length: int | None = None) -> TrajectoryDataset:
     """Dispatch by task tag: 1.1, 1.2, 1.3, or 2."""
     if task in _TASK1_VARIANTS:
         return gen_task1(_TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
-                         length=length, dt=dt, seed=seed, params=params)
+                         length=length, dt=dt, seed=seed)
     if task == "2":
         return gen_task2(num_trajectories=num_trajectories or 24,
-                         length=length or 400, dt=dt, seed=seed, params=params)
+                         length=length or 400, dt=dt, seed=seed)
     raise ValueError(f"unknown task {task!r} (1.1, 1.2, 1.3, or 2)")
 
 

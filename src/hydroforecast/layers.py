@@ -128,32 +128,28 @@ class MultiHeadSelfAttention:
     def _head_cols(self, h: int) -> tuple:
         return (Ellipsis, slice(h * self.d_head, (h + 1) * self.d_head))
 
-    def _head_weights(self, x: Tensor, causal: bool) -> list[Tensor]:
-        """Per-head softmax(q k^T / sqrt(d_head)); causal masks keys after the query."""
+    def _head_weights(self, x: Tensor) -> list[Tensor]:
+        """Per-head softmax(q k^T / sqrt(d_head)), every query over every key."""
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"attention: input dim {x.shape[-1]} != d_model {self.d_model}")
-        n = x.shape[-2]
         q, k = self.w_q(x), self.w_k(x)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        mask = np.triu(np.full((n, n), -1e30), k=1) if causal else None
         out = []
         for h in range(self.heads):
             cols = self._head_cols(h)
             scores = ad.scale(ad.matmul(q[cols], ad.transpose_last2(k[cols])), inv_sqrt)
-            if causal:
-                scores = ad.add(scores, ad.expand(Tensor(mask), scores.shape))
             out.append(ad.softmax_lastdim(scores))
         return out
 
-    def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
-        weights = self._head_weights(x, causal)
+    def __call__(self, x: Tensor) -> Tensor:
+        weights = self._head_weights(x)
         v = self.w_v(x)
         head_outs = [ad.matmul(w, v[self._head_cols(h)]) for h, w in enumerate(weights)]
         return self.w_o(ad.concat(head_outs, axis=-1))
 
-    def attention_weights(self, x: Tensor, causal: bool = False) -> np.ndarray:
+    def attention_weights(self, x: Tensor) -> np.ndarray:
         """Per-head softmax weights, stacked on a new leading axis (diagnostic)."""
-        return np.stack([w.data for w in self._head_weights(x, causal)])
+        return np.stack([w.data for w in self._head_weights(x)])
 
 
 class LSTMStack:

@@ -3,17 +3,22 @@
 Each model maps a kinematic condition sequence plus a true initial force to
 a predicted force trajectory of the same length. ODE variants encode the
 conditions into per-step latent controls and integrate a learned vector
-field, an ``odeint.MLPKernel``, from F0, so the whole solve is one tape
-node; the LSTM baseline sees F0 concatenated onto every input row.
+field, an ``odeint.MLPKernel`` on ``[state, control]``, from F0, so the
+whole solve is one tape node; the LSTM baseline sees F0 concatenated onto
+every input row. The attention encoder is unmasked self-attention with no
+positional encoding: time order enters through the solve, which reads step
+i's control at step i.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +44,6 @@ class ModelConfig:
     kernel_hidden: tuple[int, ...] = (64, 64, 64)
     solver: str = "euler"
     dt: float = 0.02
-    time_input: bool = False
-    positional_encoding: bool = False
-    causal_attention: bool = False
     lstm_hidden: int = 64
     lstm_layers: int = 2
     seed: int = 0
@@ -51,14 +53,17 @@ class ModelConfig:
             raise ValueError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.n_in <= 0 or self.f_out <= 0 or self.latent <= 0 or self.d_model <= 0:
-            raise ValueError("model dims must be positive")
+        for name in ("n_in", "f_out", "d_model", "heads", "latent", "lstm_hidden",
+                     "lstm_layers"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and v > 0):
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if any(w <= 0 for w in self.kernel_hidden):
-            raise ValueError("kernel widths must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not all(isinstance(w, numbers.Integral) and w > 0 for w in self.kernel_hidden):
+            raise ValueError("kernel widths must be positive integers")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "kernel_hidden", tuple(self.kernel_hidden))
 
     def to_dict(self) -> dict:
@@ -71,16 +76,6 @@ class ModelConfig:
         d = dict(d)
         d["kernel_hidden"] = tuple(d.get("kernel_hidden", (64, 64, 64)))
         return cls(**d)
-
-
-def _sinusoidal_encoding(n: int, d_model: int) -> np.ndarray:
-    pos = np.arange(n)[:, None]
-    i = np.arange(d_model // 2)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * i / d_model)
-    enc = np.zeros((n, d_model))
-    enc[:, 0::2] = np.sin(angles)
-    enc[:, 1::2] = np.cos(angles)
-    return enc
 
 
 class ForecastModel:
@@ -109,16 +104,15 @@ class ForecastModel:
             self.proj = LinearLayer(config.lstm_hidden, config.f_out, rng)
             components += [("lstm", self.lstm), ("proj", self.proj)]
         else:
-            kin = config.f_out + config.latent + (1 if config.time_input else 0)
-            self.kernel_mlp = MLPBlock([kin, *config.kernel_hidden, config.f_out], rng)
+            self.kernel_mlp = MLPBlock([config.f_out + config.latent, *config.kernel_hidden,
+                                        config.f_out], rng)
             # zero final layer: a fresh model integrates the zero field, so
             # its prediction starts at exactly F0
             self.kernel_mlp.layers[-1].weight.data[:] = 0.0
             self.kernel_mlp.layers[-1].bias.data[:] = 0.0
             components.append(("kernel", self.kernel_mlp))
             self.kernel = MLPKernel([layer.weight for layer in self.kernel_mlp.layers],
-                                    [layer.bias for layer in self.kernel_mlp.layers],
-                                    config.time_input)
+                                    [layer.bias for layer in self.kernel_mlp.layers])
         self.params: ParamRegistry = collect_params(*components)
 
     # ---- normalization --------------------------------------------------
@@ -147,10 +141,7 @@ class ForecastModel:
         if cfg.encoder == "mlp":
             return self.enc_mlp(x)
         emb = self.embed(x)
-        if cfg.positional_encoding:
-            pe = _sinusoidal_encoding(x.shape[-2], cfg.d_model)
-            emb = ad.add(emb, ad.expand(Tensor(pe), emb.shape))
-        ctx = ad.add(emb, self.attn(emb, causal=cfg.causal_attention))
+        ctx = ad.add(emb, self.attn(emb))
         return self.enc_head(ctx)
 
     def predict_forces(self, x: Tensor, f0: Tensor, grid: TimeGrid | None = None) -> Tensor:
@@ -195,6 +186,11 @@ CHECKPOINT_MAGIC = b"HYDROFC\x01"
 CHECKPOINT_VERSION = 1
 
 
+# Model switches this code no longer has. Version 1 headers keep them, always
+# false, so saved bytes and readers of the header are unchanged.
+RETIRED_CONFIG_KEYS = ("causal_attention", "positional_encoding", "time_input")
+
+
 class CheckpointError(RuntimeError):
     """Corrupt, truncated, or incompatible checkpoint file."""
 
@@ -202,7 +198,7 @@ class CheckpointError(RuntimeError):
 def checkpoint_save(model: ForecastModel, path) -> None:
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     header = json.dumps({
-        "config": model.config.to_dict(),
+        "config": {**model.config.to_dict(), **dict.fromkeys(RETIRED_CONFIG_KEYS, False)},
         "normalizer": {"x_mean": model.x_mean.tolist(),
                        "x_std": model.x_std.tolist(),
                        "f_scale": model.f_scale.tolist()},
@@ -276,21 +272,26 @@ def checkpoint_load(path) -> ForecastModel:
     (hlen,) = r.unpack("<Q")
     try:
         header = json.loads(r.read(hlen).decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-    except (ValueError, TypeError, KeyError) as e:
+        config = dict(header["config"])
+        for key in RETIRED_CONFIG_KEYS:
+            if config.pop(key, False) is not False:
+                raise CheckpointError(f"config sets {key}, which this version cannot build")
+        model = build_model(ModelConfig.from_dict(config))
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise CheckpointError(f"invalid config header: {e}") from None
-    model = build_model(config)
     norm = header.get("normalizer")
     if norm:
         _load_normalizer(model, norm)
     loaded: set[str] = set()
     while r.pos < len(body):
         (nlen,) = r.unpack("<I")
-        name = r.read(nlen).decode("utf-8")
+        try:
+            name = r.read(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
         (ndim,) = r.unpack("<I")
         shape = r.unpack(f"<{ndim}Q")
-        data = np.frombuffer(r.read(8 * int(np.prod(shape, dtype=np.int64))),
-                             dtype="<f8").reshape(shape)
+        data = np.frombuffer(r.read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name not in model.params:
             raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
         if model.params[name].shape != tuple(shape):

@@ -48,22 +48,18 @@ Kernel = Callable[[Tensor, Tensor, float], Tensor]
 
 
 class MLPKernel:
-    """The model's vector field: an MLP on ``[state, control]``, with ``t``
-    appended as one more column when ``time_input`` is set.
+    """The model's vector field: an MLP on ``[state, control]``. It is
+    autonomous: it takes ``t`` to fit the ``Kernel`` signature and ignores it.
 
     Called, it is one taped ``autodiff.mlp`` node like any kernel;
     ``integrate`` instead runs a whole solve with it as one node.
     """
 
-    def __init__(self, weights: Sequence[Tensor], biases: Sequence[Tensor],
-                 time_input: bool = False):
-        self.weights, self.biases, self.time_input = list(weights), list(biases), time_input
+    def __init__(self, weights: Sequence[Tensor], biases: Sequence[Tensor]):
+        self.weights, self.biases = list(weights), list(biases)
 
     def __call__(self, state: Tensor, control: Tensor, t: float) -> Tensor:
-        parts = [state, control]
-        if self.time_input:
-            parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
-        return ad.mlp(parts, self.weights, self.biases)
+        return ad.mlp((state, control), self.weights, self.biases)
 
 
 def _control_at(controls: Tensor, i: int) -> Tensor:
@@ -158,13 +154,14 @@ def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
 def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
                controls: Tensor) -> Tensor:
     """The taped path's trajectory as one node, with the discrete adjoint as
-    its VJP. Parents: F0, controls, the kernel's weights and its biases."""
+    its VJP. Parents: F0, controls, the kernel's weights and its biases. The
+    field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``."""
     lead = f0.shape[:-1]
     if f0.ndim == 0 or controls.shape[:-2] != lead:
         raise ShapeError(f"F0 {f0.shape} and controls {controls.shape} do not share "
                          "leading axes")
     f = f0.shape[-1]
-    ad._check_layers(lead + (f + controls.shape[-1] + kernel.time_input,),
+    ad._check_layers(lead + (f + controls.shape[-1],),
                      kernel.weights, kernel.biases)
     if kernel.weights[-1].shape[1] != f:
         raise ShapeError(f"kernel output width {kernel.weights[-1].shape[1]} != state "
@@ -174,23 +171,22 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
     caches = []  # per kernel evaluation, in order: the MLP's layer inputs and activations
 
-    def field(s, c, t):
-        parts = [s, c, np.full(lead + (1,), t)] if kernel.time_input else [s, c]
-        k, inputs, acts = ad._mlp_forward(np.concatenate(parts, -1), ws, bs)
+    def field(s, c):
+        k, inputs, acts = ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)
         if track:
             caches.append((inputs, acts))
         return k
 
     dt, s, states = grid.dt, f0.data, []
     for i in range(grid.steps):
-        c, t = controls.data[..., i, :], grid.t0 + i * dt
+        c = controls.data[..., i, :]
         if solver == "euler":
-            s = s + field(s, c, t) * float(dt)
+            s = s + field(s, c) * float(dt)
         else:
-            k1 = field(s, c, t)
-            k2 = field(s + k1 * float(dt / 2.0), c, t + dt / 2.0)
-            k3 = field(s + k2 * float(dt / 2.0), c, t + dt / 2.0)
-            k4 = field(s + k3 * float(dt), c, t + dt)
+            k1 = field(s, c)
+            k2 = field(s + k1 * float(dt / 2.0), c)
+            k3 = field(s + k2 * float(dt / 2.0), c)
+            k4 = field(s + k3 * float(dt), c)
             s = s + ((k1 + k2 * 2.0) + (k3 * 2.0 + k4)) * float(dt / 6.0)
         states.append(s)
     out = np.stack(states, axis=-2)

@@ -19,6 +19,10 @@ from .hydrodata import TrajectoryDataset
 from .models import ForecastModel, checkpoint_save
 
 
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Loss or gradients went non-finite; the last good parameters are kept."""
 
@@ -28,9 +32,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     grad_clip_norm: float = 1.0
     early_stop_patience: int = 20
     lr_decay: float = 1.0
@@ -38,10 +39,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.max_epochs,
-               self.grad_clip_norm, self.early_stop_patience, self.epsilon) <= 0:
+               self.grad_clip_norm, self.early_stop_patience) <= 0:
             raise ValueError("all TrainConfig values must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must be in (0, 1)")
         if not (0 < self.lr_decay <= 1):
             raise ValueError("lr_decay must be in (0, 1]")
 
@@ -98,13 +97,13 @@ def adam_step(model: ForecastModel, grads: dict[str, np.ndarray], state: AdamSta
         if m is None:
             m = np.zeros_like(tensor.data)
             v = np.zeros_like(tensor.data)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 def _batch_loss(model: ForecastModel, x: np.ndarray, forces: np.ndarray,

@@ -279,6 +279,17 @@ class TestPredictEval:
         assert r.returncode == 5
         assert "corrupt" in r.stderr.lower() and key in r.stderr
 
+    def test_malformed_header_exit_5(self, checkpoint, dataset_dir, tmp_path,
+                                     reseal_checkpoint):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(checkpoint.read_bytes())
+        reseal_checkpoint(bad, lambda cfg: cfg.update(heads=0))
+        r = run_cli("predict", "--checkpoint", str(bad),
+                    "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
+        assert r.returncode == 5
+        assert "corrupt" in r.stderr.lower() and "heads" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_missing_checkpoint_exit_3(self, dataset_dir, tmp_path):
         r = run_cli("predict", "--checkpoint", str(tmp_path / "none.ckpt"),
                     "--data", str(dataset_dir), "--out", str(tmp_path / "p"))

@@ -301,13 +301,13 @@ class TestSolverNodes:
 
 @st.composite
 def solve_cases(draw):
-    """Solver, time input, leading axes (none for a 1-d state), state and
-    control widths, hidden widths, steps, t0, dt, whether F0 and the controls
-    require a gradient, and a seed."""
-    return (draw(st.sampled_from(["euler", "rk4"])), draw(st.booleans()),
-            draw(st.sampled_from([(), (2,), (2, 3)])), draw(st.integers(1, 3)),
-            draw(st.integers(1, 3)), draw(st.lists(st.integers(1, 4), max_size=2)),
-            draw(st.integers(1, 4)), draw(st.floats(-1.0, 1.0, allow_nan=False)),
+    """Solver, leading axes (none for a 1-d state), state and control widths,
+    hidden widths, steps, t0, dt, whether F0 and the controls require a
+    gradient, and a seed."""
+    return (draw(st.sampled_from(["euler", "rk4"])), draw(st.sampled_from([(), (2,), (2, 3)])),
+            draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.lists(st.integers(1, 4), max_size=2)), draw(st.integers(1, 4)),
+            draw(st.floats(-1.0, 1.0, allow_nan=False)),
             draw(st.floats(1e-3, 0.5, allow_nan=False)), draw(st.booleans()),
             draw(st.booleans()), draw(seeds))
 
@@ -315,19 +315,16 @@ def solve_cases(draw):
 def _solve_inputs(case, grads=None):
     """F0, controls, the MLP, its ``MLPKernel`` and an independent plain
     closure over the same MLP; ``grads`` overrides the drawn requires_grad."""
-    solver, time_input, lead, f, latent, hidden, steps, t0, dt, f0_grad, c_grad, seed = case
+    solver, lead, f, latent, hidden, steps, t0, dt, f0_grad, c_grad, seed = case
     if grads is not None:
         f0_grad = c_grad = grads
     rng = np.random.default_rng(seed)
-    block = MLPBlock([f + latent + time_input, *hidden, f], rng)
+    block = MLPBlock([f + latent, *hidden, f], rng)
     kernel = MLPKernel([layer.weight for layer in block.layers],
-                       [layer.bias for layer in block.layers], time_input)
+                       [layer.bias for layer in block.layers])
 
     def closure(state, control, t):
-        parts = [state, control]
-        if time_input:
-            parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
-        return block(*parts)
+        return block(state, control)
 
     f0 = Tensor(rng.normal(size=lead + (f,)), requires_grad=f0_grad)
     controls = Tensor(rng.normal(size=lead + (steps, latent)), requires_grad=c_grad)

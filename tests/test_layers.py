@@ -114,19 +114,6 @@ class TestAttention:
         out_perm = attn(Tensor(x[perm])).data
         assert np.all(np.abs(out[perm] - out_perm) < 1e-10)
 
-    def test_causal_mask_blocks_future(self, rng):
-        attn = MultiHeadSelfAttention(8, 2, rng)
-        x = rng.normal(size=(5, 8))
-        base = attn(Tensor(x), causal=True).data
-        x2 = x.copy()
-        x2[4] += 10.0
-        bumped = attn(Tensor(x2), causal=True).data
-        assert np.allclose(base[:4], bumped[:4], atol=1e-12)
-        # the unmasked variant must propagate the change everywhere
-        free = attn(Tensor(x)).data
-        free_bumped = attn(Tensor(x2)).data
-        assert np.max(np.abs(free[:4] - free_bumped[:4])) > 1e-6
-
     def test_weights_rows_sum_to_one(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng)
         w = attn.attention_weights(Tensor(rng.normal(size=(7, 8))))

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from hydroforecast import autodiff as ad
 from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.models import (
+    RETIRED_CONFIG_KEYS,
     CheckpointError,
     ForecastModel,
     ModelConfig,
@@ -316,5 +320,46 @@ class TestCheckpoint:
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
+        with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+    def test_header_keeps_retired_switches_false(self, tmp_path):
+        # version 1 headers always carry these keys, and readers of the
+        # header rely on them
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(build_model(TINY), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[12:20])
+        config = json.loads(blob[20:20 + hlen])["config"]
+        assert {k: config[k] for k in RETIRED_CONFIG_KEYS} == dict.fromkeys(
+            RETIRED_CONFIG_KEYS, False)
+        assert checkpoint_load(path).config == TINY
+
+    @pytest.mark.parametrize("key", RETIRED_CONFIG_KEYS)
+    def test_retired_switch_set_rejected(self, tmp_path, reseal_checkpoint, key):
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(build_model(TINY), path)
+        reseal_checkpoint(path, lambda cfg: cfg.update({key: True}))
+        with pytest.raises(CheckpointError, match=key):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("edit,edit_first", [
+        ({"heads": 0}, None),
+        ({"heads": -4}, None),
+        ({"heads": 0.5}, None),
+        ({"dt": float("nan")}, None),
+        ({"dt": float("inf")}, None),
+        ({"dt": 10 ** 400}, None),
+        ({"encoder": "lstm-baseline", "lstm_hidden": 0}, None),
+        ({"lstm_layers": 0}, None),
+        (None, lambda name, shape: (b"\xff" + name[1:], shape)),
+        # 2**66 elements: a product in int64 would wrap to 0
+        (None, lambda name, shape: (name, (2 ** 33, 2 ** 33))),
+    ], ids=["heads-0", "heads-negative", "heads-fraction", "dt-nan", "dt-inf", "dt-huge-int",
+            "lstm-hidden-0", "lstm-layers-0", "name-not-utf8", "shape-overflow"])
+    def test_malformed_header_rejected(self, tmp_path, reseal_checkpoint, edit, edit_first):
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(build_model(TINY), path)
+        reseal_checkpoint(path, edit and (lambda cfg: cfg.update(edit)), edit_first)
         with pytest.raises(CheckpointError):
             checkpoint_load(path)

@@ -6,7 +6,6 @@ import pytest
 from hydroforecast import autodiff as ad
 from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.layers import MLPBlock, collect_params
-from hydroforecast.models import ModelConfig, build_model
 from hydroforecast.odeint import (
     TimeGrid,
     adjoint_backward,
@@ -163,21 +162,22 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("solver", ["euler", "rk4"])
     def test_matches_unrolled_time_dependent_kernel(self, solver, rng):
-        # a time_input kernel reads t, so the adjoint must replay each step
-        # at the forward pass's time
-        model = build_model(ModelConfig(d_model=8, heads=2, latent=8, kernel_hidden=(8, 8),
-                                        solver=solver, time_input=True))
-        last = model.kernel_mlp.layers[-1]  # zero at init, which would hide t
-        last.weight.data[:] = rng.normal(size=last.weight.shape)
-        params = [(n, t) for n, t in model.params.items() if n.startswith("kernel.")]
+        # the kernel reads t as an input column, so the adjoint must replay
+        # each step and stage at the forward pass's time
+        mlp = MLPBlock([2 + 8 + 1, 8, 8, 2], rng)
+        params = list(collect_params(("k", mlp)).items())
+
+        def kernel(state, control, t):
+            return mlp(state, control, Tensor(np.full(state.shape[:-1] + (1,), t)))
+
         grid = TimeGrid(0.5, 0.02, 30)
-        controls = Tensor(model.encode_conditions(Tensor(rng.normal(size=(30, 4)))).data)
+        controls = Tensor(rng.normal(size=(30, 8)))
         f0 = Tensor(rng.normal(size=(2,)), requires_grad=True)
         targets = rng.normal(size=(30, 2))
 
-        traj, grads, df0 = self._unrolled_grads(f0, model.kernel, grid, controls,
+        traj, grads, df0 = self._unrolled_grads(f0, kernel, grid, controls,
                                                 targets, params, solver)
-        pgrads, a0 = adjoint_backward(traj, f0, model.kernel, grid, controls,
+        pgrads, a0 = adjoint_backward(traj, f0, kernel, grid, controls,
                                       2.0 * (traj - targets), params, solver=solver)
         for name, g in grads.items():
             assert np.max(np.abs(pgrads[name] - g)) < 1e-9, name

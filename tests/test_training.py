@@ -120,10 +120,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
 
-    def test_bad_betas(self):
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
-
 
 @pytest.fixture(scope="module")
 def small_data():
