@@ -20,18 +20,20 @@ One layer call, one node: fused ops with hand-written VJPs stand for whole
 layers, so a forecast's tape grows by a few nodes per solver step, not by
 dozens. ``mlp`` is the one dense op: a whole MLP block on the
 concatenation of its input parts, and with one layer a linear layer;
-``lstm_layer`` is one LSTM layer over every step, with backpropagation
-through time as its VJP. Both write ``x @ w + b`` and its gradients through
-the numpy helpers ``_dense`` and ``_dense_vjp``, so that math exists once.
-Each computes its forward and gradients as the unfused chain of small ops
-does, so both are bit-identical to that chain (``lstm_layer``'s weight
-gradients up to the order of a batched sum). ``odeint`` adds a whole-solve
+``attention`` is a whole multi-head self-attention layer, its four
+projections included; ``lstm_layer`` is one LSTM layer over every step, with
+backpropagation through time as its VJP. All three write ``x @ w + b`` and
+its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
+that math exists once. Each computes its forward and gradients as the
+unfused chain of small ops does, so both are bit-identical to that chain
+(``lstm_layer``'s weight gradients up to the order of a batched sum). ``odeint`` adds a whole-solve
 node for the model's MLP kernel, built on ``mlp``'s helpers ``_mlp_forward``
 and ``_mlp_vjp``, and the solver's update and stack nodes for other kernels.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -212,7 +214,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
-# ---- matmul and softmax --------------------------------------------------
+# ---- matmul and attention -------------------------------------------------
 
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,18 +388,90 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out, (a, b), vjp, "matmul")
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise ShapeError(f"softmax_lastdim: need last dim >= 1, got {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``s``, shifted by its row maximum; written
+    into ``s``, which is returned."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
+                       bs: Sequence[np.ndarray]):
+    """Multi-head self-attention of ``x`` [..., L, d] with projections
+    ``ws``/``bs`` in the order q, k, v, output. Returns the output and what
+    ``_attention_vjp`` needs: q, k, v, each head's softmax weights and the
+    output projection's input (the heads joined on the last axis)."""
+    (q, _), (k, _), (v, _) = (_dense(x, w, b) for w, b in zip(ws[:3], bs[:3]))
+    d_head = x.shape[-1] // heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    probs, outs = [], []
+    for h in range(heads):
+        cols = np.s_[..., h * d_head:(h + 1) * d_head]
+        s = np.matmul(q[cols], np.swapaxes(k[cols], -1, -2))
+        s *= inv_sqrt
+        probs.append(_softmax(s))
+        outs.append(np.matmul(s, v[cols]))
+    joined = np.concatenate(outs, axis=-1)
+    y, _ = _dense(joined, ws[3], bs[3])
+    return y, (q, k, v, probs, joined)
+
+
+def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray,
+                   need_gx: bool):
+    """Gradients of ``_attention_forward`` for output gradient ``g``: the
+    input's from q, k and v in turn (each None unless ``need_gx``), and lists
+    of the weights' and the biases'. ``g`` is left intact."""
+    q, k, v, probs, joined = cache
+    d_head = q.shape[-1] // len(probs)
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    gj, gw_o, gb_o = _dense_vjp(joined, ws[3], g, True)
+    gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for h, (p, gh) in enumerate(zip(probs, _split(gj, [d_head] * len(probs), -1))):
+        cols = np.s_[..., h * d_head:(h + 1) * d_head]
+        gp = np.matmul(gh, np.swapaxes(v[cols], -1, -2))
+        gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
+        # softmax's VJP p * (gp - sum(gp * p)), then the scale's
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        gp *= inv_sqrt
+        gq[cols] += np.matmul(gp, k[cols])
+        gk[cols] += np.swapaxes(np.matmul(np.swapaxes(q[cols], -1, -2), gp), -1, -2)
+    gxs, gws, gbs = zip(*(_dense_vjp(x, w, gi, need_gx) for w, gi in zip(ws, (gq, gk, gv))))
+    return gxs, [*gws, gw_o], [*gbs, gb_o]
+
+
+def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
+              biases: Sequence[Tensor]) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one node.
+
+    ``x`` is [..., L, d]; ``weights`` are the q, k, v and output projections,
+    each [d, d], and ``biases`` theirs, each [d]. Every head takes d / heads
+    columns of q, k and v; its softmax(q k^T / sqrt(d / heads)) weights every
+    query over every key, and the heads' weighted sums of v are joined and
+    projected. The forward and gradients are computed as the chain of
+    ``mlp``, slice, ``matmul``, ``scale``, softmax and ``concat`` nodes
+    computes them, so both are bit-identical to it. ``x`` is listed as a
+    parent three times, once per projection, so that its gradient is summed
+    from q, k and v in the chain's order.
+    """
+    x = _wrap(x)
+    d = x.shape[-1] if x.ndim else 0
+    if x.ndim < 2 or not 0 < heads <= d or d % heads or len(weights) != 4 \
+            or len(biases) != 4 or any(w.shape != (d, d) for w in weights) \
+            or any(b.shape != (d,) for b in biases):
+        raise ShapeError(f"attention: input {x.shape}, {heads} heads, weights "
+                         f"{[w.shape for w in weights]} and biases "
+                         f"{[b.shape for b in biases]} do not fit")
+    ws = [w.data for w in weights]
+    y, cache = _attention_forward(x.data, heads, ws, [b.data for b in biases])
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        gxs, gws, gbs = _attention_vjp(x.data, cache, ws, g, x.requires_grad)
+        return (*gxs, *gws, *gbs)
 
-    return Tensor._make(out, (a,), vjp, "softmax")
+    return Tensor._make(y, (x, x, x, *weights, *biases), vjp, "attention")
 
 
 # ---- reductions ----------------------------------------------------------
@@ -472,13 +546,6 @@ def take(a: Tensor, index) -> Tensor:
     out = a.data[index]
     return Tensor._make(np.asarray(out, dtype=np.float64), (a,),
                         lambda g: (_Scatter(index, g),), "slice")
-
-
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ShapeError(f"transpose_last2: need ndim >= 2, got shape {a.shape}")
-    return Tensor._make(np.swapaxes(a.data, -1, -2), (a,),
-                        lambda g: (np.swapaxes(g, -1, -2),), "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -106,14 +106,16 @@ class MLPBlock:
 
 
 class MultiHeadSelfAttention:
-    """Scaled dot-product self-attention; Q, K and V come from the same input."""
+    """Scaled dot-product self-attention; Q, K and V come from the same input.
+
+    The whole layer is one ``autodiff.attention`` node.
+    """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator):
         if d_model % heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
         self.d_model = d_model
         self.heads = heads
-        self.d_head = d_model // heads
         self.w_q = LinearLayer(d_model, d_model, rng)
         self.w_k = LinearLayer(d_model, d_model, rng)
         self.w_v = LinearLayer(d_model, d_model, rng)
@@ -125,31 +127,22 @@ class MultiHeadSelfAttention:
             for name, t in layer.named_parameters():
                 yield f"{tag}.{name}", t
 
-    def _head_cols(self, h: int) -> tuple:
-        return (Ellipsis, slice(h * self.d_head, (h + 1) * self.d_head))
-
-    def _head_weights(self, x: Tensor) -> list[Tensor]:
-        """Per-head softmax(q k^T / sqrt(d_head)), every query over every key."""
-        if x.shape[-1] != self.d_model:
-            raise ShapeError(f"attention: input dim {x.shape[-1]} != d_model {self.d_model}")
-        q, k = self.w_q(x), self.w_k(x)
-        inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        out = []
-        for h in range(self.heads):
-            cols = self._head_cols(h)
-            scores = ad.scale(ad.matmul(q[cols], ad.transpose_last2(k[cols])), inv_sqrt)
-            out.append(ad.softmax_lastdim(scores))
-        return out
+    def _projections(self) -> tuple[list[Tensor], list[Tensor]]:
+        """Weights and biases of the q, k, v and output projections."""
+        layers = (self.w_q, self.w_k, self.w_v, self.w_o)
+        return [layer.weight for layer in layers], [layer.bias for layer in layers]
 
     def __call__(self, x: Tensor) -> Tensor:
-        weights = self._head_weights(x)
-        v = self.w_v(x)
-        head_outs = [ad.matmul(w, v[self._head_cols(h)]) for h, w in enumerate(weights)]
-        return self.w_o(ad.concat(head_outs, axis=-1))
+        return ad.attention(x, self.heads, *self._projections())
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
         """Per-head softmax weights, stacked on a new leading axis (diagnostic)."""
-        return np.stack([w.data for w in self._head_weights(x)])
+        if x.ndim < 2 or x.shape[-1] != self.d_model:
+            raise ShapeError(f"attention: input {x.shape} does not fit d_model {self.d_model}")
+        weights, biases = self._projections()
+        _, (_, _, _, probs, _) = ad._attention_forward(
+            x.data, self.heads, [w.data for w in weights], [b.data for b in biases])
+        return np.stack(probs)
 
 
 class LSTMStack:

@@ -112,14 +112,29 @@ def _batch_loss(model: ForecastModel, x: np.ndarray, forces: np.ndarray,
     return mse_loss(pred, Tensor(forces))
 
 
+def _train_step(model: ForecastModel, x: np.ndarray, forces: np.ndarray, f0: np.ndarray,
+                state: AdamState, cfg: TrainConfig, lr: float, epoch: int) -> float:
+    """One Adam step on a batch; returns the batch loss. The batch's graph is
+    dropped on return, so it is gone before the next batch builds its own."""
+    model.params.zero_grad()
+    loss = _batch_loss(model, x, forces, f0)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise DivergenceError(f"training loss became {value} at epoch {epoch}")
+    ad.backward(loss)
+    grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
+             for n, t in model.params.items()}
+    adam_step(model, grads, state, cfg, lr=lr)
+    return value
+
+
 def evaluate_loss(model: ForecastModel, ds: TrajectoryDataset,
                   batch_size: int = 32) -> float:
     x, forces, f0 = ds.stack()
     total, count = 0.0, 0
     for lo in range(0, len(x), batch_size):
         hi = min(lo + batch_size, len(x))
-        loss = _batch_loss(model, x[lo:hi], forces[lo:hi], f0[lo:hi])
-        total += loss.item() * (hi - lo)
+        total += _batch_loss(model, x[lo:hi], forces[lo:hi], f0[lo:hi]).item() * (hi - lo)
         count += hi - lo
     return total / count
 
@@ -162,16 +177,8 @@ def train(model: ForecastModel, train_set: TrajectoryDataset,
             stop_now = False
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo:lo + cfg.batch_size]
-                model.params.zero_grad()
-                loss = _batch_loss(model, x_all[idx], forces_all[idx], f0_all[idx])
-                value = loss.item()
-                if not math.isfinite(value):
-                    diverged = True
-                    raise DivergenceError(f"training loss became {value} at epoch {epoch}")
-                ad.backward(loss)
-                grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                         for n, t in model.params.items()}
-                adam_step(model, grads, state, cfg, lr=lr_epoch)
+                value = _train_step(model, x_all[idx], forces_all[idx], f0_all[idx], state,
+                                    cfg, lr_epoch, epoch)
                 epoch_loss += value * len(idx)
                 seen += len(idx)
                 if stop_below_train_loss is not None and value < stop_below_train_loss:

@@ -1,13 +1,15 @@
 """Fused nodes against the unfused op chains they replace.
 
-``autodiff.mlp``, ``autodiff.lstm_layer`` and the solver's update and stack
-nodes must give the same forward bytes as the chains of small ops below, and
-gradients that match central differences. The whole-solve node that
-``integrate`` builds for an ``MLPKernel`` must give the same bytes, forward
-and every gradient, as ``integrate`` taping the same MLP step by step. The
-tape-budget tests hold a forecast to one node per layer call and one for the
-solve.
+``autodiff.mlp``, ``autodiff.attention``, ``autodiff.lstm_layer`` and the
+solver's update and stack nodes must give the same forward bytes as the
+chains of small ops below, and gradients that match central differences.
+The whole-solve node that ``integrate`` builds for an ``MLPKernel`` must
+give the same bytes, forward and every gradient, as ``integrate`` taping the
+same MLP step by step. The tape-budget tests hold a forecast to one node per
+layer call and one for the solve.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hydroforecast import autodiff as ad
 from hydroforecast import odeint
 from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.hydrodata import generate
-from hydroforecast.layers import LSTMStack, MLPBlock
+from hydroforecast.layers import LSTMStack, MLPBlock, MultiHeadSelfAttention
 from hydroforecast.models import ModelConfig, build_model
 from hydroforecast.odeint import MLPKernel, TimeGrid
 
@@ -46,6 +48,39 @@ def unfused_mlp(parts, weights, biases):
         if i < len(weights) - 1:
             x = ad.tanh(x)
     return x
+
+
+def unfused_softmax(a):
+    """Softmax over the last axis as a node of its own."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return Tensor._make(out, (a,), vjp, "softmax")
+
+
+def unfused_transpose(a):
+    return Tensor._make(np.swapaxes(a.data, -1, -2), (a,),
+                        lambda g: (np.swapaxes(g, -1, -2),), "transpose")
+
+
+def unfused_attention(x, heads, weights, biases):
+    """Per head a slice of q, k and v, softmax(q k^T / sqrt(d_head)) and its
+    product with v; the heads joined and projected. Every projection is a
+    one-layer ``mlp`` node."""
+    q, k, v = (ad.mlp((x,), (w,), (b,)) for w, b in zip(weights[:3], biases[:3]))
+    d_head = x.shape[-1] // heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+    outs = []
+    for h in range(heads):
+        cols = (Ellipsis, slice(h * d_head, (h + 1) * d_head))
+        scores = ad.scale(ad.matmul(q[cols], unfused_transpose(k[cols])), inv_sqrt)
+        outs.append(ad.matmul(unfused_softmax(scores), v[cols]))
+    return ad.mlp((ad.concat(outs, axis=-1),), weights[3:], biases[3:])
 
 
 def unfused_lstm_layer(x, w, b):
@@ -181,6 +216,90 @@ class TestMLP:
             ad.mlp([Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2)))], [w], [b])
         with pytest.raises(ShapeError):  # parts with different leading axes
             ad.mlp([Tensor(np.zeros((4, 1))), Tensor(np.zeros((5, 2)))], [w], [b])
+
+
+# ---- attention ----------------------------------------------------------------
+
+
+@st.composite
+def attention_cases(draw):
+    """Batch axes (none for a 2-d sequence), steps, heads, head width, whether
+    the output goes through a residual add onto an embedding of the input as
+    in the model's encoder, and a seed."""
+    return (draw(lead_axes), draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.booleans()), draw(seeds))
+
+
+def _attention_tensors(case):
+    """The input, the embedding's weight and bias, the four projections' weights
+    and biases, and a function of the input and projections giving the op's or
+    the chain's output, through the embedding and residual when drawn."""
+    batch, steps, heads, d_head, residual, seed = case
+    d = heads * d_head
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=batch + (steps, 3)), requires_grad=True)
+    embed = [Tensor(rng.normal(size=(3, d)), requires_grad=True),
+             Tensor(rng.normal(size=d), requires_grad=True)]
+    weights = [Tensor(rng.normal(scale=0.7, size=(d, d)), requires_grad=True)
+               for _ in range(4)]
+    biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(4)]
+
+    def run(op):
+        emb = ad.mlp((x,), embed[:1], embed[1:])
+        y = op(emb, heads, weights, biases)
+        return ad.add(emb, y) if residual else y
+
+    return x, embed, weights, biases, run
+
+
+class TestAttention:
+    @given(attention_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfused_chain(self, case):
+        x, embed, weights, biases, run = _attention_tensors(case)
+        fused, chain = run(ad.attention), run(unfused_attention)
+        assert _same_bytes(fused.data, chain.data)
+        tensors = [x, *embed, *weights, *biases]
+        for a, b in zip(_grads(_weighted_sum(fused, case[-1]), tensors),
+                        _grads(_weighted_sum(chain, case[-1]), tensors)):
+            assert _same_bytes(a, b)
+
+    @given(attention_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_gradients_match_central_differences(self, case):
+        x, embed, weights, biases, run = _attention_tensors(case)
+        err = ad.grad_check(lambda: _weighted_sum(run(ad.attention), case[-1]),
+                            [x, *embed, *weights, *biases], epsilon=EPS)
+        assert err <= 1e-4
+
+    def test_layer_weights_match_unfused_chain(self, rng):
+        attn = MultiHeadSelfAttention(6, 3, rng)
+        x = Tensor(rng.normal(size=(5, 6)))
+        q, k = attn.w_q(x), attn.w_k(x)
+        for h, w in enumerate(attn.attention_weights(x)):
+            cols = (Ellipsis, slice(2 * h, 2 * h + 2))
+            scores = ad.scale(ad.matmul(q[cols], unfused_transpose(k[cols])), 1.0 / math.sqrt(2))
+            assert _same_bytes(w, unfused_softmax(scores).data)
+
+    def test_shape_errors(self, rng):
+        attn = MultiHeadSelfAttention(4, 2, rng)
+        for shape in [(3, 5), (4,), (2, 3, 3)]:
+            with pytest.raises(ShapeError):
+                attn(Tensor(np.zeros(shape)))
+            with pytest.raises(ShapeError):
+                attn.attention_weights(Tensor(np.zeros(shape)))
+        weights, biases = attn._projections()
+        with pytest.raises(ShapeError):  # 4 columns do not split into 3 heads
+            ad.attention(Tensor(np.zeros((3, 4))), 3, weights, biases)
+        with pytest.raises(ShapeError):  # no output projection
+            ad.attention(Tensor(np.zeros((3, 4))), 2, weights[:3], biases[:3])
+
+    def test_no_tape_without_gradients(self, rng):
+        weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+        biases = [Tensor(np.zeros(4)) for _ in range(4)]
+        out = ad.attention(Tensor(rng.normal(size=(2, 3, 4))), 2, weights, biases)
+        assert out.shape == (2, 3, 4) and out._vjp is None and not out.requires_grad
+        assert out._parents == ()
 
 
 # ---- lstm_layer ---------------------------------------------------------------
@@ -407,6 +526,12 @@ class TestTapeBudget:
                                      TimeGrid(0.0, ds.dt, length), controls)
             assert _non_leaf(taped) <= per_step * length + 1
         assert extra[80] == extra[40]
+
+    def test_attention_layer_one_node(self, rng):
+        attn = MultiHeadSelfAttention(8, 4, rng)
+        for shape in [(6, 8), (2, 6, 8)]:
+            out = attn(Tensor(rng.normal(size=shape)))
+            assert out.op == "attention" and _non_leaf(out) == 1
 
     def test_lstm_stack_one_node_per_layer(self, rng):
         for layers in (1, 3):

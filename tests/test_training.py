@@ -1,10 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from hydroforecast import autodiff as ad
+from hydroforecast import training
 from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.hydrodata import gen_task1
 from hydroforecast.models import ModelConfig, build_model, checkpoint_load
@@ -223,3 +225,42 @@ class TestEvaluateLoss:
         pred = model.predict_forces(Tensor(x), Tensor(f0))
         direct = mse_loss(pred, Tensor(forces)).item()
         assert evaluate_loss(model, small_data, batch_size=3) == pytest.approx(direct, rel=1e-12)
+
+
+class TestGraphRelease:
+    """Each batch's graph is dropped before the next batch's forward starts, so
+    peak memory holds one graph, not two."""
+
+    @staticmethod
+    def _alive_at_each_forward(monkeypatch):
+        """Wrap ``training._batch_loss``; the returned list gets, at every
+        call, how many earlier losses' arrays are still alive."""
+        batch_loss, refs, alive = training._batch_loss, [], []
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            loss = batch_loss(*args)
+            refs.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(training, "_batch_loss", counted)
+        return alive
+
+    @pytest.fixture
+    def model_and_data(self):
+        ds = gen_task1("switching", num_conditions=8, length=20, seed=0)
+        model = build_model(ModelConfig(n_in=ds.n, f_out=ds.f, d_model=8, heads=2, latent=4,
+                                        kernel_hidden=(8,), dt=ds.dt))
+        return model, ds
+
+    def test_train_step(self, model_and_data, monkeypatch):
+        model, ds = model_and_data
+        alive = self._alive_at_each_forward(monkeypatch)
+        train(model, ds, None, TrainConfig(batch_size=2, max_epochs=2, seed=0))
+        assert alive == [0] * 8
+
+    def test_evaluate_loss(self, model_and_data, monkeypatch):
+        model, ds = model_and_data
+        alive = self._alive_at_each_forward(monkeypatch)
+        evaluate_loss(model, ds, batch_size=2)
+        assert alive == [0] * 4
