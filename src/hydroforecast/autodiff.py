@@ -21,7 +21,10 @@ layers, so a forecast's tape grows by a few nodes per solver step, not by
 dozens. ``mlp`` is the one dense op: a whole MLP block on the
 concatenation of its input parts, and with one layer a linear layer;
 ``attention`` is a whole multi-head self-attention layer, its four
-projections included; ``lstm_layer`` is one LSTM layer over every step, with
+projections included; it runs its [L, L] scores through softmax and the
+softmax's VJP one cache-sized group of trajectories at a time
+(``_TILE_BYTES``), which changes no byte, as every row and every matmul
+stays within one trajectory; ``lstm_layer`` is one LSTM layer over every step, with
 backpropagation through time as its VJP. All three write ``x @ w + b`` and
 its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
 that math exists once. Each computes its forward and gradients as the
@@ -397,48 +400,82 @@ def _softmax(s: np.ndarray) -> np.ndarray:
     return s
 
 
+_TILE_BYTES = 1 << 20
+"""Bytes of [L, L] float64 score tiles that attention takes through its
+softmax, or through the softmax's VJP, before it moves on to the next group
+of trajectories: about half of a 2 MiB L2 cache, so that a group's scores
+stay cached across the chain's elementwise passes with room left for the
+q, k and v rows they read."""
+
+
+def _tiles(n: int, length: int) -> list[slice]:
+    """``n`` trajectories cut into consecutive groups whose [L, L] float64
+    tiles take at most ``_TILE_BYTES`` together, one trajectory at least."""
+    size = max(1, _TILE_BYTES // (8 * length * length))
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
 def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
                        bs: Sequence[np.ndarray]):
     """Multi-head self-attention of ``x`` [..., L, d] with projections
     ``ws``/``bs`` in the order q, k, v, output. Returns the output and what
     ``_attention_vjp`` needs: q, k, v, each head's softmax weights and the
-    output projection's input (the heads joined on the last axis)."""
+    output projection's input (the heads joined on the last axis).
+
+    The leading axes are flattened into n trajectories, cut by ``_tiles``.
+    Each group runs one head's whole chain (scores, scale, softmax, product
+    with v) before the next starts, so its scores are still in cache for each
+    pass. Every row of scores lies whole in one tile, and each matmul works
+    one trajectory at a time either way, so the bytes are those of running
+    each op over all n at once."""
     (q, _), (k, _), (v, _) = (_dense(x, w, b) for w, b in zip(ws[:3], bs[:3]))
-    d_head = x.shape[-1] // heads
+    length, d = x.shape[-2:]
+    d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    probs, outs = [], []
-    for h in range(heads):
-        cols = np.s_[..., h * d_head:(h + 1) * d_head]
-        s = np.matmul(q[cols], np.swapaxes(k[cols], -1, -2))
-        s *= inv_sqrt
-        probs.append(_softmax(s))
-        outs.append(np.matmul(s, v[cols]))
-    joined = np.concatenate(outs, axis=-1)
+    q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
+    n = q3.shape[0]
+    probs = [np.empty((n, length, length)) for _ in range(heads)]
+    outs = [np.empty((n, length, d_head)) for _ in range(heads)]
+    for t in _tiles(n, length):
+        for h in range(heads):
+            cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
+            s = np.matmul(q3[cols], np.swapaxes(k3[cols], -1, -2), out=probs[h][t])
+            s *= inv_sqrt
+            np.matmul(_softmax(s), v3[cols], out=outs[h][t])
+    joined = np.concatenate(outs, axis=-1).reshape(x.shape)
     y, _ = _dense(joined, ws[3], bs[3])
-    return y, (q, k, v, probs, joined)
+    return y, (q, k, v, [p.reshape(x.shape[:-1] + (length,)) for p in probs], joined)
 
 
 def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray,
                    need_gx: bool):
     """Gradients of ``_attention_forward`` for output gradient ``g``: the
     input's from q, k and v in turn (each None unless ``need_gx``), and lists
-    of the weights' and the biases'. ``g`` is left intact."""
+    of the weights' and the biases'. ``g`` is left intact. Runs on the
+    forward's tiles, each group's whole chain for one head at a time."""
     q, k, v, probs, joined = cache
-    d_head = q.shape[-1] // len(probs)
+    heads, (length, d) = len(probs), q.shape[-2:]
+    d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
     gj, gw_o, gb_o = _dense_vjp(joined, ws[3], g, True)
-    gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-    for h, (p, gh) in enumerate(zip(probs, _split(gj, [d_head] * len(probs), -1))):
-        cols = np.s_[..., h * d_head:(h + 1) * d_head]
-        gp = np.matmul(gh, np.swapaxes(v[cols], -1, -2))
-        gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
-        # softmax's VJP p * (gp - sum(gp * p)), then the scale's
-        gp -= (gp * p).sum(axis=-1, keepdims=True)
-        gp *= p
-        gp *= inv_sqrt
-        gq[cols] += np.matmul(gp, k[cols])
-        gk[cols] += np.swapaxes(np.matmul(np.swapaxes(q[cols], -1, -2), gp), -1, -2)
-    gxs, gws, gbs = zip(*(_dense_vjp(x, w, gi, need_gx) for w, gi in zip(ws, (gq, gk, gv))))
+    ghs = _split(gj.reshape(-1, length, d), [d_head] * heads, -1)
+    q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
+    probs = [p.reshape(-1, length, length) for p in probs]
+    gq, gk, gv = np.zeros_like(q3), np.zeros_like(k3), np.zeros_like(v3)
+    for t in _tiles(q3.shape[0], length):
+        for h in range(heads):
+            cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
+            p, gh = probs[h][t], ghs[h][t]
+            gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2))
+            gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
+            # softmax's VJP p * (gp - sum(gp * p)), then the scale's
+            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            gp *= p
+            gp *= inv_sqrt
+            gq[cols] += np.matmul(gp, k3[cols])
+            gk[cols] += np.swapaxes(np.matmul(np.swapaxes(q3[cols], -1, -2), gp), -1, -2)
+    gxs, gws, gbs = zip(*(_dense_vjp(x, w, gi.reshape(q.shape), need_gx)
+                          for w, gi in zip(ws, (gq, gk, gv))))
     return gxs, [*gws, gw_o], [*gbs, gb_o]
 
 
@@ -455,6 +492,13 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     computes them, so both are bit-identical to it. ``x`` is listed as a
     parent three times, once per projection, so that its gradient is summed
     from q, k and v in the chain's order.
+
+    The scores are worked through in tiles: the leading axes flattened into
+    trajectories, and those cut into groups whose [L, L] float64 scores fit
+    in ``_TILE_BYTES``. Each group's scores run the whole chain for one head,
+    forward or backward, while they are in cache. A tile holds whole rows
+    and every matmul already works one trajectory at a time, so each number
+    is computed by the same operations as over the whole batch at once.
     """
     x = _wrap(x)
     d = x.shape[-1] if x.ndim else 0

@@ -47,14 +47,24 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
-            file_cfg = json.loads(Path(cfg_path).read_text())
+            file_cfg = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise CliError(f"config file not found: {cfg_path}", EXIT_IO)
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(f"cannot read config file {cfg_path}: {e}", EXIT_IO)
         except json.JSONDecodeError as e:
             raise CliError(f"config file is not valid JSON: {e}", EXIT_USAGE)
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config file must hold a JSON object, not "
+                           f"{type(file_cfg).__name__}", EXIT_USAGE)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
+        for key, value in file_cfg.items():
+            kind = args.config_types.get(key, str)
+            if not _fits(value, kind, defaults[key]):
+                raise CliError(f"config key {key!r} must be {kind.__name__}, got "
+                               f"{value!r}", EXIT_USAGE)
         merged.update(file_cfg)
     for key in defaults:
         value = getattr(args, key.replace("-", "_"), None)
@@ -62,6 +72,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = value
     merged["threads"] = args.threads  # applied by main() before numpy loads
     return merged
+
+
+def _fits(value, kind: type, default) -> bool:
+    """Whether a config file's ``value`` is what its flag's ``kind`` parses
+    to: null only where the default is null, an int also for a float flag,
+    never a bool."""
+    if value is None:
+        return default is None
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _echo_config(outdir: Path, subcommand: str, resolved: dict) -> None:
@@ -414,6 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float)
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in sub.choices.values():  # what _resolve checks config file values against
+        p.set_defaults(config_types={a.dest: a.type or str for a in p._actions})
     return parser
 
 

@@ -127,6 +127,37 @@ class TestConfigFile:
                     "--out", str(tmp_path / "o"))
         assert r.returncode == 3
 
+    def test_top_level_not_object_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("42")
+        r = run_cli("gen-data", "--task", "1.1", "--config", str(cfg),
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert "JSON object" in r.stderr and "Traceback" not in r.stderr
+
+    def test_non_utf8_file_exit_3(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"task": "1.1\xff"}')
+        r = run_cli("gen-data", "--task", "1.1", "--config", str(cfg),
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 3
+        assert "cannot read config file" in r.stderr and "Traceback" not in r.stderr
+
+    def test_directory_exit_3(self, tmp_path):
+        r = run_cli("gen-data", "--task", "1.1", "--config", str(tmp_path),
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 3
+        assert "cannot read config file" in r.stderr and "Traceback" not in r.stderr
+
+    def test_wrongly_typed_value_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectories": "two"}))
+        r = run_cli("gen-data", "--task", "1.1", "--config", str(cfg),
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert "'trajectories' must be int" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_artifacts(self, checkpoint):
