@@ -12,9 +12,11 @@ are the attention, mlp and lstm encoders x euler and rk4 x fitted and
 identity normalisers on Task 1.2 and Task 2 data. Each encoder x solver
 also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
 x [L, n] and F0 [f] (the CLI's), with its loss gradients and tape nodes. Layer cases cover calls
-that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, and an
+that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, an
 LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
-each with its output, parameter and input gradients and tape-node count.
+and a MultiHeadSelfAttention on two batch axes at L=200, whose six
+trajectories fill two score tiles, each with its output, parameter and input
+gradients and tape-node count.
 
 Forecasts, attention weights, checkpoint files, dataset files and arrays,
 report files and prediction CSVs must be byte-identical. Parameter gradients
@@ -108,9 +110,11 @@ def _layer_cases(hf, out):
         mlp = layers.MLPBlock([5, 7, 6, 3], "tanh", np.random.default_rng(5))
     linear = layers.LinearLayer(5, 3, np.random.default_rng(4))
     lstm = layers.LSTMStack(3, 4, np.random.default_rng(6))
+    attn = layers.MultiHeadSelfAttention(32, 4, np.random.default_rng(8))
     cases = (("linear-1d", linear, (5,)), ("linear-3d", linear, (2, 4, 5)),
              ("mlp-1d", mlp, (5,)), ("mlp-3d", mlp, (2, 4, 5)),
-             ("lstm-2d", lstm, (6, 3)), ("lstm-4d", lstm, (2, 3, 6, 3)))
+             ("lstm-2d", lstm, (6, 3)), ("lstm-4d", lstm, (2, 3, 6, 3)),
+             ("attention-4d", attn, (2, 3, 200, 32)))
     for key, layer, shape in cases:
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         y = layer(x)

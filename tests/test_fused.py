@@ -10,6 +10,7 @@ layer call and one for the solve.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,17 @@ def _attention_tensors(case):
     return x, embed, weights, biases, run
 
 
+def _check_layer_weights(attn, x):
+    """The layer's attention weights for ``x`` match each head's taped softmax."""
+    d_head = attn.d_model // attn.heads
+    q, k = attn.w_q(x), attn.w_k(x)
+    for h, w in enumerate(attn.attention_weights(x)):
+        cols = (Ellipsis, slice(h * d_head, (h + 1) * d_head))
+        scores = ad.scale(ad.matmul(q[cols], unfused_transpose(k[cols])),
+                          1.0 / math.sqrt(d_head))
+        assert _same_bytes(w, unfused_softmax(scores).data)
+
+
 class TestAttention:
     @given(attention_cases())
     @settings(max_examples=40, deadline=None)
@@ -274,12 +286,47 @@ class TestAttention:
 
     def test_layer_weights_match_unfused_chain(self, rng):
         attn = MultiHeadSelfAttention(6, 3, rng)
-        x = Tensor(rng.normal(size=(5, 6)))
-        q, k = attn.w_q(x), attn.w_k(x)
-        for h, w in enumerate(attn.attention_weights(x)):
-            cols = (Ellipsis, slice(2 * h, 2 * h + 2))
-            scores = ad.scale(ad.matmul(q[cols], unfused_transpose(k[cols])), 1.0 / math.sqrt(2))
-            assert _same_bytes(w, unfused_softmax(scores).data)
+        _check_layer_weights(attn, Tensor(rng.normal(size=(5, 6))))
+
+    def test_matches_unfused_chain_across_tiles(self):
+        """Batch axes (2, 4) at L=200: eight trajectories in score tiles of 3,
+        3 and 2, with head widths that reach BLAS. The forward, the layer's
+        attention weights and every gradient match the unfused chain."""
+        assert ad._tiles(8, 200) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+        heads, d_head, seed = 4, 16, 5
+        x, embed, weights, biases, run = _attention_tensors(
+            ((2, 4), 200, heads, d_head, True, seed))
+        fused, chain = run(ad.attention), run(unfused_attention)
+        assert _same_bytes(fused.data, chain.data)
+        tensors = [x, *embed, *weights, *biases]
+        for a, b in zip(_grads(_weighted_sum(fused, seed), tensors),
+                        _grads(_weighted_sum(chain, seed), tensors)):
+            assert _same_bytes(a, b)
+        attn = MultiHeadSelfAttention(heads * d_head, heads, np.random.default_rng(0))
+        for layer, w, b in zip((attn.w_q, attn.w_k, attn.w_v, attn.w_o), weights, biases):
+            layer.weight, layer.bias = w, b
+        _check_layer_weights(attn, ad.mlp((x,), embed[:1], embed[1:]))
+
+    def test_backward_transient_below_one_score_array(self):
+        """Backward through one attention node at B=16, L=256 (two
+        trajectories a tile) allocates less, beyond what is live before it,
+        than one [B, L, L] float64 array."""
+        batch, length, d = 16, 256, 16
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)
+            weights = [Tensor(rng.normal(scale=0.3, size=(d, d)), requires_grad=True)
+                       for _ in range(4)]
+            biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(4)]
+            loss = _weighted_sum(ad.attention(x, 4, weights, biases), 0)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < batch * length * length * 8
 
     def test_shape_errors(self, rng):
         attn = MultiHeadSelfAttention(4, 2, rng)
