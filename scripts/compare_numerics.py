@@ -9,8 +9,10 @@ model's saved checkpoint, the raw bytes of every dataset file written
 benchmark report files, and prediction CSVs. Datasets cover Tasks 1.1
 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The model cases
 are the attention, mlp and lstm encoders x euler and rk4 x fitted and
-identity normalisers on Task 1.2 and Task 2 data. Each encoder x solver
-also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
+identity normalisers on Task 1.2 and Task 2 data, plus the attention encoder
+x euler and rk4 on Task 2 at its full horizon, L=400, where a batch of three
+fills three score tiles, so attention keeps no weights and its VJP recomputes
+them. Each encoder x solver also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
 x [L, n] and F0 [f] (the CLI's), with its loss gradients and tape nodes. Layer cases cover calls
 that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, an
 LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
@@ -40,6 +42,7 @@ import numpy as np
 
 DATA_TASKS = {"1.1": {"num_trajectories": 4, "length": 30}, "1.3": {"num_trajectories": 6}}
 TASKS = {"1.2": {"num_trajectories": 6}, "2": {"num_trajectories": 4, "length": 80}}
+LONG = {"num_trajectories": 4, "length": 400}  # Task 2: one trajectory per score tile
 BATCH = 3
 ROUNDOFF = 1e-14
 
@@ -58,7 +61,7 @@ def _model_case(hf, out, key, ds, cfg, fitted, tmp, batch=BATCH):
     """Forecast, MSE-loss gradients and tape nodes on the first ``batch``
     trajectories, or on the first alone, unbatched, when ``batch`` is None.
     At the default batch also the saved checkpoint's bytes, attention weights
-    and the adjoint sweep."""
+    (of the first trajectory and of the batch) and the adjoint sweep."""
     Tensor = hf.autodiff.Tensor
     model = hf.models.build_model(cfg)
     if fitted:
@@ -86,6 +89,8 @@ def _model_case(hf, out, key, ds, cfg, fitted, tmp, batch=BATCH):
     if cfg.encoder == "attention":
         out[f"{key}/attention_weights"] = model.attn.attention_weights(
             model.embed(Tensor(x[0])))
+        out[f"{key}/attention_weights/batch"] = model.attn.attention_weights(
+            model.embed(Tensor(x)))
     if cfg.encoder == "lstm-baseline":
         return
     controls = Tensor(model.encode_conditions(Tensor(x)).data)
@@ -162,6 +167,11 @@ def dump(path) -> None:
                     for tag, batch in (("batch1", 1), ("unbatched", None)):
                         _model_case(hf, out, f"{task}/{encoder}/{solver}/fitted/{tag}", ds,
                                     cfg, True, tmp, batch)
+        ds = hf.hydrodata.generate("2", seed=0, **LONG)
+        for solver in ("euler", "rk4"):
+            cfg = hf.models.ModelConfig(encoder="attention", solver=solver, n_in=ds.n,
+                                        f_out=ds.f, dt=ds.dt)
+            _model_case(hf, out, f"2-L400/attention/{solver}/fitted", ds, cfg, True, tmp)
         _layer_cases(hf, out)
         ev = hf.evalbench
         table = ev.BenchmarkTable(

@@ -21,10 +21,10 @@ layers, so a forecast's tape grows by a few nodes per solver step, not by
 dozens. ``mlp`` is the one dense op: a whole MLP block on the
 concatenation of its input parts, and with one layer a linear layer;
 ``attention`` is a whole multi-head self-attention layer, its four
-projections included; it runs its [L, L] scores through softmax and the
-softmax's VJP one cache-sized group of trajectories at a time
-(``_TILE_BYTES``), which changes no byte, as every row and every matmul
-stays within one trajectory; ``lstm_layer`` is one LSTM layer over every step, with
+projections included; it works its [L, L] scores one cache-sized group of
+trajectories at a time (``_TILE_BYTES``), and past one group it keeps no
+softmax weights but its VJP recomputes them, group by group, which moves no
+byte; ``lstm_layer`` is one LSTM layer over every step, with
 backpropagation through time as its VJP. All three write ``x @ w + b`` and
 its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
 that math exists once. Each computes its forward and gradients as the
@@ -415,12 +415,20 @@ def _tiles(n: int, length: int) -> list[slice]:
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
+def _head_weights(q: np.ndarray, k: np.ndarray, cols, out=None) -> np.ndarray:
+    """One head's softmax(q k^T / sqrt(d_head)) on ``cols`` of q, k [..., L, d], into ``out``."""
+    qh = q[cols]
+    s = np.matmul(qh, np.swapaxes(k[cols], -1, -2), out=out)
+    s *= 1.0 / math.sqrt(qh.shape[-1])
+    return _softmax(s)
+
+
 def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
                        bs: Sequence[np.ndarray]):
     """Multi-head self-attention of ``x`` [..., L, d] with projections
     ``ws``/``bs`` in the order q, k, v, output. Returns the output and what
-    ``_attention_vjp`` needs: q, k, v, each head's softmax weights and the
-    output projection's input (the heads joined on the last axis).
+    ``_attention_vjp`` needs: q, k, v, the head count, each head's softmax
+    weights if the batch is one tile (else None) and the heads joined.
 
     The leading axes are flattened into n trajectories, cut by ``_tiles``.
     Each group runs one head's whole chain (scores, scale, softmax, product
@@ -431,20 +439,20 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
     (q, _), (k, _), (v, _) = (_dense(x, w, b) for w, b in zip(ws[:3], bs[:3]))
     length, d = x.shape[-2:]
     d_head = d // heads
-    inv_sqrt = 1.0 / math.sqrt(d_head)
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
     n = q3.shape[0]
-    probs = [np.empty((n, length, length)) for _ in range(heads)]
+    tiles = _tiles(n, length)
+    probs = [np.empty((n, length, length)) for _ in range(heads)] if len(tiles) < 2 else None
+    buf = None if probs else np.empty((tiles[0].stop, length, length))
     outs = [np.empty((n, length, d_head)) for _ in range(heads)]
-    for t in _tiles(n, length):
+    for t in tiles:
         for h in range(heads):
             cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            s = np.matmul(q3[cols], np.swapaxes(k3[cols], -1, -2), out=probs[h][t])
-            s *= inv_sqrt
-            np.matmul(_softmax(s), v3[cols], out=outs[h][t])
+            p = _head_weights(q3, k3, cols, probs[h][t] if probs else buf[:t.stop - t.start])
+            np.matmul(p, v3[cols], out=outs[h][t])
     joined = np.concatenate(outs, axis=-1).reshape(x.shape)
     y, _ = _dense(joined, ws[3], bs[3])
-    return y, (q, k, v, [p.reshape(x.shape[:-1] + (length,)) for p in probs], joined)
+    return y, (q, k, v, heads, probs, joined)
 
 
 def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray,
@@ -452,20 +460,22 @@ def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray
     """Gradients of ``_attention_forward`` for output gradient ``g``: the
     input's from q, k and v in turn (each None unless ``need_gx``), and lists
     of the weights' and the biases'. ``g`` is left intact. Runs on the
-    forward's tiles, each group's whole chain for one head at a time."""
-    q, k, v, probs, joined = cache
-    heads, (length, d) = len(probs), q.shape[-2:]
+    forward's tiles, one head at a time, recomputing weights the forward did not keep."""
+    q, k, v, heads, probs, joined = cache
+    length, d = q.shape[-2:]
     d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
     gj, gw_o, gb_o = _dense_vjp(joined, ws[3], g, True)
     ghs = _split(gj.reshape(-1, length, d), [d_head] * heads, -1)
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
-    probs = [p.reshape(-1, length, length) for p in probs]
     gq, gk, gv = np.zeros_like(q3), np.zeros_like(k3), np.zeros_like(v3)
-    for t in _tiles(q3.shape[0], length):
+    tiles = _tiles(q3.shape[0], length)
+    buf = None if probs else np.empty((tiles[0].stop, length, length))
+    for t in tiles:
         for h in range(heads):
             cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            p, gh = probs[h][t], ghs[h][t]
+            p = probs[h][t] if probs else _head_weights(q3, k3, cols, buf[:t.stop - t.start])
+            gh = ghs[h][t]
             gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2))
             gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
             # softmax's VJP p * (gp - sum(gp * p)), then the scale's
@@ -499,6 +509,9 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     forward or backward, while they are in cache. A tile holds whole rows
     and every matmul already works one trajectory at a time, so each number
     is computed by the same operations as over the whole batch at once.
+    The node keeps q, k, v and the joined heads, and each head's softmax
+    weights only if the batch is one tile; else the VJP recomputes each
+    (tile, head) unit's weights by the forward's ``_head_weights`` call.
     """
     x = _wrap(x)
     d = x.shape[-1] if x.ndim else 0

@@ -119,6 +119,8 @@ def cmd_gen_data(args) -> int:
                          dt=float(resolved["dt"]), length=resolved["length"])
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
+    except MemoryError as e:  # numpy refuses an array larger than it can allocate
+        raise CliError(f"dataset too large to allocate: {e}", EXIT_USAGE)
     split_seed = resolved["split_seed"]
     try:
         _, _, _, assignment = hd.split_dataset(

@@ -318,6 +318,8 @@ _TASK1_VARIANTS = {"1.1": "static", "1.2": "switching", "1.3": "noisy"}
 def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
              dt: float = DEFAULT_DT, length: int | None = None) -> TrajectoryDataset:
     """Dispatch by task tag: 1.1, 1.2, 1.3, or 2."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number above 0, got {dt!r}")
     if task in _TASK1_VARIANTS:
         return gen_task1(_TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
                          length=length, dt=dt, seed=seed)

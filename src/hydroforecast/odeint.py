@@ -169,12 +169,12 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     parents = (f0, controls, *kernel.weights, *kernel.biases)
     track = any(p.requires_grad for p in parents)
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
-    caches = []  # per kernel evaluation, in order: the MLP's layer inputs and activations
+    caches = []  # per kernel evaluation: stage state, control view, later layer inputs, acts
 
     def field(s, c):
         k, inputs, acts = ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)
         if track:
-            caches.append((inputs, acts))
+            caches.append((s, c, inputs[1:], acts))
         return k
 
     dt, s, states = grid.dt, f0.data, []
@@ -201,7 +201,9 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
 
         def stage(j, gk, need_gx):
             """dL/d(state) and dL/d(control) of evaluation j, given dL/dk."""
-            gx, gw_j, gb_j = ad._mlp_vjp(*caches[j], ws, gk, need_gx)
+            s, c, later, acts = caches[j]
+            row = np.atleast_2d(np.concatenate([s, c], -1))  # the forward's row, as _dense saw it
+            gx, gw_j, gb_j = ad._mlp_vjp([row, *later], acts, ws, gk, need_gx)
             for acc, new in ((gws, gw_j), (gbs, gb_j)):
                 for layer, a in enumerate(new):
                     if acc[layer] is None:

@@ -158,6 +158,30 @@ class TestConfigFile:
         assert "'trajectories' must be int" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dt", ["NaN", "Infinity", "-Infinity", "0", "-0.1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dt_not_finite_positive_exit_2(self, tmp_path, dt, source):
+        if source == "flag":
+            args = [f"--dt={float(dt)}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(f'{{"dt": {dt}}}')
+            args = ["--config", str(cfg)]
+        r = run_cli("gen-data", "--task", "1.1", "--trajectories", "4", "--length", "5",
+                    "--out", str(tmp_path / "o"), *args)
+        assert r.returncode == 2
+        assert "dt" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_unallocatable_length_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "1.1", "trajectories": 20,
+                                   "length": 100000000000}))
+        r = run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert "too large to allocate" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_artifacts(self, checkpoint):

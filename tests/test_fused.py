@@ -328,6 +328,51 @@ class TestAttention:
             tracemalloc.stop()
         assert peak - live < batch * length * length * 8
 
+    def test_forward_keeps_no_score_array_across_tiles(self):
+        """One attention forward at B=16, L=256 (two trajectories a tile)
+        leaves less alive, beyond its inputs, than one [B, L, L] float64
+        array: with more than one tile, no head's softmax weights are kept."""
+        batch, length, d = 16, 256, 16
+        assert len(ad._tiles(batch, length)) == 8
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)
+        weights = [Tensor(rng.normal(scale=0.3, size=(d, d)), requires_grad=True)
+                   for _ in range(4)]
+        biases = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.attention(x, 4, weights, biases)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert live < batch * length * length * 8
+
+    @pytest.mark.parametrize("batch,length,tiles", [(3, 50, 1), (3, 400, 3), (16, 256, 8)])
+    def test_vjp_recomputes_weights_once_per_unit_across_tiles(self, monkeypatch, batch,
+                                                               length, tiles):
+        """The VJP computes no softmax weights when the batch is one tile
+        (the forward kept them), and one (tile, head) unit's at a time, each
+        once, when it is more."""
+        heads, d = 2, 8
+        assert len(ad._tiles(batch, length)) == tiles
+        x, _, weights, biases, run = _attention_tensors(((batch,), length, heads,
+                                                         d // heads, False, 3))
+        loss = _weighted_sum(run(ad.attention), 3)
+        calls = []
+        head_weights = ad._head_weights
+
+        def counted(q3, k3, cols, out):
+            calls.append((cols[0].start, cols[0].stop, cols[2].start))
+            return head_weights(q3, k3, cols, out)
+
+        monkeypatch.setattr(ad, "_head_weights", counted)
+        ad.backward(loss)
+        units = [(t.start, t.stop, h * (d // heads)) for t in ad._tiles(batch, length)
+                 for h in range(heads)]
+        assert calls == ([] if tiles == 1 else units)
+
     def test_shape_errors(self, rng):
         attn = MultiHeadSelfAttention(4, 2, rng)
         for shape in [(3, 5), (4,), (2, 3, 3)]:
@@ -528,6 +573,28 @@ class TestSolve:
         out = odeint.integrate("rk4", Tensor(np.ones(2)), kernel, TimeGrid(0.0, 0.1, 3),
                                Tensor(np.ones((3, 3))))
         assert out.shape == (3, 2) and out._vjp is None and not out.requires_grad
+
+    def test_caches_hold_no_control_columns(self):
+        """A Task 2-shaped RK4 solve (B=16, L=400, f=6, latent 64, three
+        hidden layers of 64) keeps, per kernel evaluation, its stage state and
+        activations, not the [state, control] row: less live growth than
+        1600 evaluations of 16 rows of 6 + 64 + 192 floats."""
+        batch, length, f, latent = 16, 400, 6, 64
+        rng = np.random.default_rng(0)
+        block = MLPBlock([f + latent, 64, 64, 64, f], rng)
+        kernel = MLPKernel([layer.weight for layer in block.layers],
+                           [layer.bias for layer in block.layers])
+        f0 = Tensor(rng.normal(size=(batch, f)))
+        controls = Tensor(rng.normal(size=(batch, length, latent)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = odeint.integrate("rk4", f0, kernel, TimeGrid(0.0, 0.02, length), controls)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.op == "solve"
+        assert live < 4 * length * batch * (f + latent + 3 * 64) * 8
 
     @pytest.mark.parametrize("f0_shape,controls_shape,widths", [
         ((2, 2), (3, 4, 3), (2, 3)),  # leading axes differ

@@ -314,6 +314,12 @@ class TestGenerateDispatch:
         with pytest.raises(ValueError):
             generate("3")
 
+    @pytest.mark.parametrize("task", ["1.1", "2"])
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    def test_dt_not_finite_positive(self, task, dt):
+        with pytest.raises(ValueError, match="dt must be a finite number above 0"):
+            generate(task, num_trajectories=2, length=5, dt=dt)
+
 
 class TestSplit:
     def test_sizes_and_disjoint(self):
