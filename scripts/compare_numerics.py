@@ -12,13 +12,14 @@ are the attention, mlp and lstm encoders x euler and rk4 x fitted and
 identity normalisers on Task 1.2 and Task 2 data, plus the attention encoder
 x euler and rk4 on Task 2 at its full horizon, L=400, where a batch of three
 fills three score tiles, so attention keeps no weights and its VJP recomputes
-them. Each encoder x solver also forecasts at batch 1 (the benchmark's forecast shape) and unbatched,
-x [L, n] and F0 [f] (the CLI's), with its loss gradients and tape nodes. Layer cases cover calls
-that no model makes: a LinearLayer and an MLPBlock on 1-d and 3-d input, an
-LSTMStack fed one unbatched 2-d sequence and a sequence with two batch axes,
-and a MultiHeadSelfAttention on two batch axes at L=200, whose six
-trajectories fill two score tiles, each with its output, parameter and input
-gradients and tape-node count.
+them. Each encoder x solver also forecasts at batch 1 (the benchmark's
+forecast shape) and unbatched, x [L, n] and F0 [f] (the CLI's), with its
+loss gradients and tape nodes. Layer cases cover calls that no model makes:
+a LinearLayer and an MLPBlock on 1-d and 3-d input, an LSTMStack fed one
+unbatched 2-d sequence and a sequence with two batch axes, and a
+MultiHeadSelfAttention on two batch axes at L=200, whose six trajectories
+fill two score tiles, each with its output, parameter and input gradients
+and tape-node count.
 
 Forecasts, attention weights, checkpoint files, dataset files and arrays,
 report files and prediction CSVs must be byte-identical. Parameter gradients
