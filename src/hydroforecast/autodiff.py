@@ -22,9 +22,9 @@ dozens. ``mlp`` is the one dense op: a whole MLP block on the
 concatenation of its input parts, and with one layer a linear layer;
 ``attention`` is a whole multi-head self-attention layer, its four
 projections included; it works its [L, L] scores one cache-sized group of
-trajectories at a time (``_TILE_BYTES``), and past one group it keeps no
-softmax weights but its VJP recomputes them, group by group, which moves no
-byte; ``lstm_layer`` is one LSTM layer over every step, with
+trajectories at a time (``_TILE_BYTES``), and it keeps no softmax weights:
+its VJP recomputes them group by group, moving no byte; ``lstm_layer`` is
+one LSTM layer over every step, with
 backpropagation through time as its VJP. All three write ``x @ w + b`` and
 its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
 that math exists once. Each computes its forward and gradients as the
@@ -427,8 +427,7 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
                        bs: Sequence[np.ndarray]):
     """Multi-head self-attention of ``x`` [..., L, d] with projections
     ``ws``/``bs`` in the order q, k, v, output. Returns the output and what
-    ``_attention_vjp`` needs: q, k, v, the head count, each head's softmax
-    weights if the batch is one tile (else None) and the heads joined.
+    ``_attention_vjp`` needs: q, k, v, the head count and the heads joined.
 
     The leading axes are flattened into n trajectories, cut by ``_tiles``.
     Each group runs one head's whole chain (scores, scale, softmax, product
@@ -442,17 +441,16 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
     n = q3.shape[0]
     tiles = _tiles(n, length)
-    probs = [np.empty((n, length, length)) for _ in range(heads)] if len(tiles) < 2 else None
-    buf = None if probs else np.empty((tiles[0].stop, length, length))
+    buf = np.empty((tiles[0].stop, length, length))
     outs = [np.empty((n, length, d_head)) for _ in range(heads)]
     for t in tiles:
         for h in range(heads):
             cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            p = _head_weights(q3, k3, cols, probs[h][t] if probs else buf[:t.stop - t.start])
+            p = _head_weights(q3, k3, cols, buf[:t.stop - t.start])
             np.matmul(p, v3[cols], out=outs[h][t])
     joined = np.concatenate(outs, axis=-1).reshape(x.shape)
     y, _ = _dense(joined, ws[3], bs[3])
-    return y, (q, k, v, heads, probs, joined)
+    return y, (q, k, v, heads, joined)
 
 
 def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray,
@@ -460,8 +458,9 @@ def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray
     """Gradients of ``_attention_forward`` for output gradient ``g``: the
     input's from q, k and v in turn (each None unless ``need_gx``), and lists
     of the weights' and the biases'. ``g`` is left intact. Runs on the
-    forward's tiles, one head at a time, recomputing weights the forward did not keep."""
-    q, k, v, heads, probs, joined = cache
+    forward's tiles, one head at a time, recomputing each unit's softmax
+    weights into one tile buffer just before reversing it."""
+    q, k, v, heads, joined = cache
     length, d = q.shape[-2:]
     d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
@@ -470,11 +469,11 @@ def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
     gq, gk, gv = np.zeros_like(q3), np.zeros_like(k3), np.zeros_like(v3)
     tiles = _tiles(q3.shape[0], length)
-    buf = None if probs else np.empty((tiles[0].stop, length, length))
+    buf = np.empty((tiles[0].stop, length, length))
     for t in tiles:
         for h in range(heads):
             cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            p = probs[h][t] if probs else _head_weights(q3, k3, cols, buf[:t.stop - t.start])
+            p = _head_weights(q3, k3, cols, buf[:t.stop - t.start])
             gh = ghs[h][t]
             gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2))
             gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
@@ -509,9 +508,10 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     forward or backward, while they are in cache. A tile holds whole rows
     and every matmul already works one trajectory at a time, so each number
     is computed by the same operations as over the whole batch at once.
-    The node keeps q, k, v and the joined heads, and each head's softmax
-    weights only if the batch is one tile; else the VJP recomputes each
-    (tile, head) unit's weights by the forward's ``_head_weights`` call.
+    The node keeps q, k, v and the joined heads, no softmax weights: the
+    forward writes every (tile, head) unit's weights into one reused tile
+    buffer, and the VJP recomputes each unit's by the same ``_head_weights``
+    call just before reversing it.
     """
     x = _wrap(x)
     d = x.shape[-1] if x.ndim else 0
