@@ -332,8 +332,9 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     for t in range(xs.shape[-2]):
         xh = np.concatenate([xs[..., t, :], h], axis=-1)
         z, _ = _dense(xh, w.data, b.data)
-        i, f = _sigmoid(z[..., :hid]), _sigmoid(z[..., hid:2 * hid])
-        g, o = np.tanh(z[..., 2 * hid:3 * hid]), _sigmoid(z[..., 3 * hid:])
+        gates = _sigmoid(z)  # the g quarter is unused: it is tanh(z) instead
+        i, f, o = gates[..., :hid], gates[..., hid:2 * hid], gates[..., 3 * hid:]
+        g = np.tanh(z[..., 2 * hid:3 * hid])
         c_prev, c = c, f * c + i * g
         tc = np.tanh(c)
         h = o * tc

@@ -320,6 +320,9 @@ def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
     """Dispatch by task tag: 1.1, 1.2, 1.3, or 2."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number above 0, got {dt!r}")
+    for name, count in (("num_trajectories", num_trajectories), ("length", length)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if task in _TASK1_VARIANTS:
         return gen_task1(_TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
                          length=length, dt=dt, seed=seed)

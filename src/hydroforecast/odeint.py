@@ -8,7 +8,9 @@ Controls are zero-order held across a step, including RK4 substages.
 With the model's vector field, an ``MLPKernel``, the whole solve is one tape
 node: its forward runs the step loop on numpy arrays, and its VJP is the
 discrete adjoint of that loop, each stage reversed through the MLP's
-hand-written VJP. It repeats the taped path's expressions and adds every
+hand-written VJP. The node keeps only each kernel evaluation's stage state
+and control row; the VJP reruns that evaluation's MLP forward just before
+reversing it. It repeats the taped path's expressions and adds every
 gradient in the order the tape sweep would, so trajectories and gradients
 are bit-identical to it. Any other kernel is taped step by step: the Euler
 update, each RK4 stage point, the RK4 update and the trajectory stack are
@@ -34,8 +36,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < float("inf"):
+            raise ValueError(f"dt must be a finite number above 0, got {self.dt}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -155,7 +157,9 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
                controls: Tensor) -> Tensor:
     """The taped path's trajectory as one node, with the discrete adjoint as
     its VJP. Parents: F0, controls, the kernel's weights and its biases. The
-    field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``."""
+    field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``.
+    Each kernel evaluation keeps its stage state, f wide, and a view of its
+    control row; the VJP recomputes the MLP's activations from them."""
     lead = f0.shape[:-1]
     if f0.ndim == 0 or controls.shape[:-2] != lead:
         raise ShapeError(f"F0 {f0.shape} and controls {controls.shape} do not share "
@@ -169,13 +173,12 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     parents = (f0, controls, *kernel.weights, *kernel.biases)
     track = any(p.requires_grad for p in parents)
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
-    caches = []  # per kernel evaluation: stage state, control view, later layer inputs, acts
+    caches = []  # per kernel evaluation: its stage state and control view
 
     def field(s, c):
-        k, inputs, acts = ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)
         if track:
-            caches.append((s, c, inputs[1:], acts))
-        return k
+            caches.append((s, c))
+        return ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)[0]
 
     dt, s, states = grid.dt, f0.data, []
     for i in range(grid.steps):
@@ -201,9 +204,9 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
 
         def stage(j, gk, need_gx):
             """dL/d(state) and dL/d(control) of evaluation j, given dL/dk."""
-            s, c, later, acts = caches[j]
-            row = np.atleast_2d(np.concatenate([s, c], -1))  # the forward's row, as _dense saw it
-            gx, gw_j, gb_j = ad._mlp_vjp([row, *later], acts, ws, gk, need_gx)
+            s, c = caches[j]  # rerun the evaluation as field ran it, for the same bytes
+            _, inputs, acts = ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)
+            gx, gw_j, gb_j = ad._mlp_vjp(inputs, acts, ws, gk, need_gx)
             for acc, new in ((gws, gw_j), (gbs, gb_j)):
                 for layer, a in enumerate(new):
                     if acc[layer] is None:

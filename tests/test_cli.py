@@ -173,6 +173,22 @@ class TestConfigFile:
         assert "dt" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,name", [("length", "length"),
+                                           ("trajectories", "num_trajectories")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_count_below_one_exit_2(self, tmp_path, flag, name, source):
+        counts = {"trajectories": 4, "length": 5, flag: 0}
+        if source == "flag":
+            args = [f"--{key}={value}" for key, value in counts.items()]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(counts))
+            args = ["--config", str(cfg)]
+        r = run_cli("gen-data", "--task", "1.1", "--out", str(tmp_path / "o"), *args)
+        assert r.returncode == 2
+        assert f"{name} must be at least 1, got 0" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unallocatable_length_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"task": "1.1", "trajectories": 20,

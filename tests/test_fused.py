@@ -542,6 +542,27 @@ def _solve_inputs(case, grads=None):
     return f0, controls, block, kernel, closure, TimeGrid(t0, dt, steps)
 
 
+def _task2_solve_growth() -> int:
+    """Live bytes that a Task 2-shaped RK4 solve (B=16, L=400, f=6, latent
+    64, three hidden layers of 64) adds, with a gradient to its controls."""
+    batch, length, f, latent = 16, 400, 6, 64
+    rng = np.random.default_rng(0)
+    block = MLPBlock([f + latent, 64, 64, 64, f], rng)
+    kernel = MLPKernel([layer.weight for layer in block.layers],
+                       [layer.bias for layer in block.layers])
+    f0 = Tensor(rng.normal(size=(batch, f)))
+    controls = Tensor(rng.normal(size=(batch, length, latent)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = odeint.integrate("rk4", f0, kernel, TimeGrid(0.0, 0.02, length), controls)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.op == "solve"
+    return live
+
+
 class TestSolve:
     @given(solve_cases())
     @settings(max_examples=60, deadline=None)
@@ -575,27 +596,45 @@ class TestSolve:
         assert out.shape == (3, 2) and out._vjp is None and not out.requires_grad
 
     def test_caches_hold_no_control_columns(self):
-        """A Task 2-shaped RK4 solve (B=16, L=400, f=6, latent 64, three
-        hidden layers of 64) keeps, per kernel evaluation, its stage state and
-        activations, not the [state, control] row: less live growth than
-        1600 evaluations of 16 rows of 6 + 3 * 64 floats and half the 64
-        control columns, which the [state, control] rows would exceed."""
+        """A Task 2-shaped RK4 solve (see ``_task2_solve_growth``) keeps, per
+        kernel evaluation, its stage state and a view of its control row, not
+        the [state, control] row: less live growth than 1600 evaluations of 16
+        rows of 6 + 3 * 64 floats and half the 64 control columns, which the
+        [state, control] rows would exceed."""
         batch, length, f, latent = 16, 400, 6, 64
-        rng = np.random.default_rng(0)
-        block = MLPBlock([f + latent, 64, 64, 64, f], rng)
+        assert _task2_solve_growth() < 4 * length * batch * (f + 3 * 64 + latent // 2) * 8
+
+    def test_forward_keeps_no_activations(self):
+        """The same solve grows live memory by less than one hidden layer's
+        activations across its 1600 evaluations (12.5 MiB): the VJP rebuilds
+        each evaluation's activations from its stage state."""
+        batch, length, hidden = 16, 400, 64
+        assert _task2_solve_growth() < 4 * length * batch * hidden * 8
+
+    @pytest.mark.parametrize("solver,stages", [("euler", 1), ("rk4", 4)])
+    def test_vjp_recomputes_each_evaluation_once(self, monkeypatch, rng, solver, stages):
+        steps = 5
+        block = MLPBlock([2 + 3, 4, 4, 2], rng)
         kernel = MLPKernel([layer.weight for layer in block.layers],
                            [layer.bias for layer in block.layers])
-        f0 = Tensor(rng.normal(size=(batch, f)))
-        controls = Tensor(rng.normal(size=(batch, length, latent)), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = odeint.integrate("rk4", f0, kernel, TimeGrid(0.0, 0.02, length), controls)
-            live = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert out.op == "solve"
-        assert live < 4 * length * batch * (f + 3 * 64 + latent // 2) * 8
+        f0 = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        controls = Tensor(rng.normal(size=(2, steps, 3)), requires_grad=True)
+        loss = ad.reduce_sum(odeint.integrate(solver, f0, kernel, TimeGrid(0.0, 0.1, steps),
+                                              controls))
+        calls = []
+        forward = ad._mlp_forward
+        monkeypatch.setattr(ad, "_mlp_forward", lambda *args: calls.append(1) or forward(*args))
+        ad.backward(loss)
+        assert len(calls) == stages * steps
+
+    @pytest.mark.parametrize("solver", ["euler", "rk4"])
+    def test_second_backward_gives_same_gradients(self, solver):
+        case = (solver, (2,), 2, 3, [4, 4], 5, 0.0, 0.1, True, True, 7)
+        f0, controls, block, kernel, _, grid = _solve_inputs(case)
+        loss = _weighted_sum(odeint.integrate(solver, f0, kernel, grid, controls), 7)
+        tensors = [f0, controls, *(t for _, t in block.named_parameters())]
+        first, second = _grads(loss, tensors), _grads(loss, tensors)
+        assert all(_same_bytes(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("f0_shape,controls_shape,widths", [
         ((2, 2), (3, 4, 3), (2, 3)),  # leading axes differ

@@ -320,6 +320,15 @@ class TestGenerateDispatch:
         with pytest.raises(ValueError, match="dt must be a finite number above 0"):
             generate(task, num_trajectories=2, length=5, dt=dt)
 
+    @pytest.mark.parametrize("task", ["1.1", "1.2", "2"])
+    @pytest.mark.parametrize("name", ["num_trajectories", "length"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one(self, task, name, count):
+        """0 is a count, not "use the default"."""
+        kwargs = {"num_trajectories": 2, "length": 50 if task != "2" else 40, name: count}
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {count}"):
+            generate(task, **kwargs)
+
 
 class TestSplit:
     def test_sizes_and_disjoint(self):

@@ -33,6 +33,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.1, 0)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_dt_not_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be a finite number above 0"):
+            TimeGrid(0.0, dt, 5)
+
 
 class TestEuler:
     def test_single_decay_step(self):
