@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,11 @@ EXIT_CORRUPT = 5
 
 MODEL_FLAGS = {"attention-ode": "attention", "mlp-ode": "mlp", "lstm": "lstm-baseline"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# flag domains, each a test and what it asks for; build_parser gives each
+# subcommand its own, and _resolve checks flag and config file values alike
+COUNT = (lambda v: v >= 1, "at least 1")
+POSITIVE = (lambda v: 0 < v < math.inf, "a finite number above 0")
 
 
 class CliError(Exception):
@@ -70,6 +76,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
+    for key, (ok, what) in getattr(args, "domains", {}).items():
+        if merged[key] is not None and not ok(merged[key]):
+            raise CliError(f"--{key.replace('_', '-')} must be {what}, got {merged[key]!r}")
     merged["threads"] = args.threads  # applied by main() before numpy loads
     return merged
 
@@ -145,7 +154,7 @@ def _load_dataset_or_die(path):
     from . import hydrodata as hd
     try:
         return hd.load_dataset(path)
-    except FileNotFoundError as e:
+    except OSError as e:
         raise CliError(str(e), EXIT_IO)
     except (ValueError, KeyError) as e:
         raise CliError(f"invalid dataset at {path}: {e}", EXIT_CORRUPT)
@@ -337,8 +346,6 @@ def cmd_gradcheck(args) -> int:
     if resolved["model"] not in MODEL_FLAGS:
         raise CliError(f"--model must be one of {sorted(MODEL_FLAGS)}")
     steps = int(resolved["steps"])
-    if not 1 <= steps <= 50:
-        raise CliError("--steps must be in [1, 50] (finite differencing is O(params))")
     config = ModelConfig(encoder=MODEL_FLAGS[resolved["model"]], n_in=4, f_out=2,
                          d_model=8, heads=2, latent=8, kernel_hidden=(8, 8),
                          lstm_hidden=8, solver=resolved["solver"], dt=0.05,
@@ -406,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay", type=float,
                    help="per-epoch learning-rate multiplier in (0, 1]")
     p.add_argument("--preset", choices=["desk", "paper"])
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, domains={
+        "lr": POSITIVE, "batch_size": COUNT, "max_epochs": COUNT, "patience": COUNT,
+        "grad_clip": POSITIVE, "lr_decay": (lambda v: 0 < v <= 1, "in (0, 1]")})
 
     p = sub.add_parser("predict", help="write per-trajectory force predictions")
     common(p)
@@ -427,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["task1", "task2", "all"])
     p.add_argument("--preset", choices=["desk", "paper"])
     p.add_argument("--max-epochs", type=int)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, domains={"max_epochs": COUNT})
 
     p = sub.add_parser("gradcheck", help="verify end-to-end gradients on a tiny model")
     common(p)
@@ -435,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["euler", "rk4"])
     p.add_argument("--steps", type=int)
     p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, domains={
+        "steps": (lambda v: 1 <= v <= 50, "in [1, 50] (finite differencing is O(params))"),
+        "tolerance": POSITIVE})
 
     for p in sub.choices.values():  # what _resolve checks config file values against
         p.set_defaults(config_types={a.dest: a.type or str for a in p._actions})

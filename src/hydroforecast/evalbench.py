@@ -196,7 +196,7 @@ def run_benchmark(suite: str = "all", preset_name: str = "desk", seed: int = 0,
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}")
     preset = PRESETS[preset_name]
-    epochs = max_epochs or preset["max_epochs"]
+    epochs = preset["max_epochs"] if max_epochs is None else max_epochs
     train_cfg = TrainConfig(learning_rate=3e-3, max_epochs=epochs,
                             early_stop_patience=max(2, epochs), seed=seed)
     datasets = dict(datasets or {})

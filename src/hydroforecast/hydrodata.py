@@ -382,17 +382,20 @@ def split_dataset(ds: TrajectoryDataset, ratios: tuple[float, float, float] = (0
 
 
 def save_dataset(ds: TrajectoryDataset, outdir) -> None:
+    """Write ``manifest.json`` and one ``traj_XXXX.npy`` per trajectory.
+
+    Each ``.npy`` file holds a float64 table of shape [L, 2+n+f] whose columns
+    are t, x_0..x_{n-1}, F_0..F_{f-1} and cond_id, so the values read back
+    bit for bit. The manifest names the files and holds each f0.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["t"] + [f"x_{i}" for i in range(ds.n)]
-                      + [f"F_{i}" for i in range(ds.f)] + ["cond_id"])
-    fmt = ["%.17g"] * (1 + ds.n + ds.f) + ["%d"]
     traj_meta = []
     for j, rec in enumerate(ds.records):
-        name = f"traj_{j:04d}.csv"
+        name = f"traj_{j:04d}.npy"
         table = np.column_stack([rec.times, rec.conditions, rec.forces, rec.condition_ids])
         with atomic_write(out / name, "wb") as fh:
-            np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+            np.save(fh, table, allow_pickle=False)
             if j == 0:
                 # the old manifest goes after the first new file is written and
                 # before it replaces an old one: a save cut short later leaves
@@ -423,6 +426,14 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
 
 
 def load_dataset(indir) -> TrajectoryDataset:
+    """Read a dataset that ``save_dataset`` wrote.
+
+    A missing manifest or trajectory file raises ``FileNotFoundError``. Any
+    other fault raises ``ValueError`` naming the file: a trajectory file that
+    is not a finite float64 [L, 2+n+f] ``.npy`` table with integer cond_ids
+    (an empty or truncated file, a CSV, another dtype, or an object array,
+    which is never unpickled), or a malformed f0 or splits in the manifest.
+    """
     root = Path(indir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -437,12 +448,18 @@ def load_dataset(indir) -> TrajectoryDataset:
             raise FileNotFoundError(f"manifest lists missing trajectory file {path}")
         n, f = manifest["n"], manifest["f"]
         try:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"trajectory file {path}: {e}") from None
-        if raw.shape != (manifest["L"], 2 + n + f) or not np.all(np.isfinite(raw)):
-            raise ValueError(f"trajectory file {path} is not a finite "
-                             f"{manifest['L']}x{2 + n + f} table (got {raw.shape})")
+            with open(path, "rb") as fh:
+                np.lib.format.read_magic(fh)  # so a CSV is refused as such, not as a pickle
+                fh.seek(0)
+                raw = np.load(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as e:  # MemoryError: a header claiming a huge shape
+            raise ValueError(f"trajectory file {path} is not a readable .npy file: "
+                             f"{e}") from None
+        if (raw.dtype != np.float64 or raw.shape != (manifest["L"], 2 + n + f)
+                or not np.all(np.isfinite(raw))):
+            raise ValueError(f"trajectory file {path} is not a finite float64 "
+                             f"{manifest['L']}x{2 + n + f} table (got {raw.dtype} "
+                             f"{raw.shape})")
         if np.any(raw[:, -1] != np.trunc(raw[:, -1])):
             raise ValueError(f"trajectory file {path} has a cond_id that is not an integer")
         try:

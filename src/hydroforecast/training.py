@@ -38,9 +38,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.max_epochs,
-               self.grad_clip_norm, self.early_stop_patience) <= 0:
-            raise ValueError("all TrainConfig values must be positive")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "grad_clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number above 0, got "
+                                 f"{getattr(self, name)!r}")
         if not (0 < self.lr_decay <= 1):
             raise ValueError("lr_decay must be in (0, 1]")
 

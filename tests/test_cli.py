@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from hydroforecast import cli, evalbench, models
 from hydroforecast.models import checkpoint_load, checkpoint_save
 
 CLI = [sys.executable, "-m", "hydroforecast.cli"]
@@ -35,6 +36,22 @@ def run_cli(*argv, env_extra=None, cwd=None):
         env.update(env_extra)
     return subprocess.run(CLI + list(argv), capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=600)
+
+
+def main_in_process(monkeypatch, *argv):
+    """``cli.main`` in this process; the thread variables it sets are restored."""
+    for var in cli.THREAD_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    return cli.main(list(argv))
+
+
+def flag_or_config(tmp_path, flag, value, source):
+    """``--flag=value`` as a flag, or as the one key of a ``--config`` file."""
+    if source == "flag":
+        return [f"--{flag}={value}"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag.replace("-", "_"): value}))
+    return ["--config", str(cfg)]
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +79,7 @@ class TestGenData:
         assert manifest["n"] == 4 and manifest["f"] == 2 and manifest["L"] == 30
         assert manifest["num_trajectories"] == 24
         assert set(manifest["splits"]) == {"train", "val", "test"}
-        assert (dataset_dir / "traj_0000.csv").exists()
+        assert (dataset_dir / "traj_0000.npy").exists()
         assert (dataset_dir / "resolved_config.json").exists()
 
     def test_resolved_config_echo(self, dataset_dir):
@@ -234,12 +251,23 @@ class TestTrain:
         import shutil
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        path = broken / "traj_0003.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+        path = broken / "traj_0003.npy"
+        path.write_bytes(path.read_bytes()[:-8 * 8 * 10])  # the last ten rows of 8 columns
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 5
-        assert "traj_0003.csv" in r.stderr and "Traceback" not in r.stderr
+        assert "traj_0003.npy" in r.stderr and "Traceback" not in r.stderr
+
+    def test_unreadable_trajectory_exit_3(self, dataset_dir, tmp_path):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        (broken / "traj_0002.npy").unlink()
+        (broken / "traj_0002.npy").mkdir()  # open() fails with an OSError
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 3
+        assert "traj_0002.npy" in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("f0", [[1.0, 2.0, 3.0], [1.0, float("nan")]],
                              ids=["three_values", "nan"])
@@ -276,19 +304,64 @@ class TestTrain:
         import shutil
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        path = broken / "traj_0000.csv"
-        rows = path.read_text().splitlines()
-        rows[1] = rows[1].rsplit(",", 1)[0] + ",3.7"
-        path.write_text("\n".join(rows) + "\n")
+        path = broken / "traj_0000.npy"
+        table = np.load(path)
+        table[0, -1] = 3.7
+        np.save(path, table, allow_pickle=False)
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 5
-        assert "traj_0000.csv" in r.stderr and "Traceback" not in r.stderr
+        assert "traj_0000.npy" in r.stderr and "Traceback" not in r.stderr
 
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 3
+
+
+class TestFlagDomains:
+    """Values outside a flag's domain end in exit 2 naming the flag, before any
+    work starts, whether they come from the flag or from a config file."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("batch-size", 0), ("batch-size", -3), ("max-epochs", 0), ("max-epochs", -1),
+        ("patience", -1), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("grad-clip", -1.0), ("grad-clip", float("nan")), ("lr-decay", 2.0),
+        ("lr-decay", float("nan"))])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_train_exit_2(self, dataset_dir, tmp_path, monkeypatch, capsys, flag, value,
+                          source):
+        code = main_in_process(monkeypatch, "train", "--data", str(dataset_dir),
+                               "--out", str(tmp_path / "t"),
+                               *flag_or_config(tmp_path, flag, value, source))
+        assert code == 2
+        assert f"--{flag} must be" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bench_epochs_below_one_exit_2(self, tmp_path, monkeypatch, capsys, value,
+                                           source):
+        def run_benchmark(**kwargs):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(evalbench, "run_benchmark", run_benchmark)
+        code = main_in_process(monkeypatch, "bench", "--out", str(tmp_path / "b"),
+                               *flag_or_config(tmp_path, "max-epochs", value, source))
+        assert code == 2
+        assert "--max-epochs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_gradcheck_tolerance_exit_2(self, tmp_path, monkeypatch, capsys, value, source):
+        def build_model(config):
+            raise AssertionError("the gradient check ran")
+
+        monkeypatch.setattr(models, "build_model", build_model)
+        code = main_in_process(monkeypatch, "gradcheck",
+                               *flag_or_config(tmp_path, "tolerance", value, source))
+        assert code == 2
+        assert "--tolerance must be a finite number above 0" in capsys.readouterr().err
 
 
 class TestPredictEval:

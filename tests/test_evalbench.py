@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydroforecast import evalbench
 from hydroforecast.autodiff import ShapeError
 from hydroforecast.evalbench import (
     PRESETS,
@@ -171,6 +172,14 @@ class TestBenchmarkRunner:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_benchmark(suite="task9")
+
+    def test_zero_epochs_rejected_not_read_as_preset(self, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(evalbench, "generate", generate)
+        with pytest.raises(ValueError, match="max_epochs"):
+            run_benchmark(suite="task1", max_epochs=0)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +22,19 @@ from hydroforecast.hydrodata import (
     steady_wrench,
     task1_condition_grid,
 )
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _npy_header(shape):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
 
 
 class TestSteadyWrench:
@@ -378,14 +393,19 @@ class TestDiskFormat:
         ds = gen_task1("static", num_conditions=3, seed=4)
         save_dataset(ds, tmp_path / "a")
         save_dataset(ds, tmp_path / "b")
-        for name in ["manifest.json", "traj_0000.csv"]:
+        for name in ["manifest.json", "traj_0000.npy"]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_csv_header(self, tmp_path):
-        ds = gen_task1("static", num_conditions=1)
+    def test_table_layout(self, tmp_path):
+        ds = gen_task1("switching", num_conditions=1)
         save_dataset(ds, tmp_path)
-        first = (tmp_path / "traj_0000.csv").read_text().splitlines()[0]
-        assert first == "t,x_0,x_1,x_2,x_3,F_0,F_1,cond_id"
+        table = np.load(tmp_path / "traj_0000.npy", allow_pickle=False)
+        rec = ds.records[0]
+        assert table.dtype == np.float64 and table.shape == (ds.length, 2 + ds.n + ds.f)
+        assert np.array_equal(table[:, 0], rec.times)
+        assert np.array_equal(table[:, 1:1 + ds.n], rec.conditions)
+        assert np.array_equal(table[:, 1 + ds.n:-1], rec.forces)
+        assert np.array_equal(table[:, -1], rec.condition_ids)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -394,19 +414,49 @@ class TestDiskFormat:
     def test_missing_trajectory_file(self, tmp_path):
         ds = gen_task1("static", num_conditions=2)
         save_dataset(ds, tmp_path)
-        (tmp_path / "traj_0001.csv").unlink()
+        (tmp_path / "traj_0001.npy").unlink()
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
-        path = tmp_path / "traj_0001.csv"
-        rows = path.read_text().splitlines()
-        cells = rows[2].split(",")
-        cells[3] = "garbage"
-        rows[2] = ",".join(cells)
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="traj_0001.csv"):
+        path = tmp_path / "traj_0001.npy"
+        cells = np.load(path).astype(str)
+        cells[1, 3] = "garbage"
+        np.save(path, cells, allow_pickle=False)
+        with pytest.raises(ValueError, match="traj_0001.npy"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b, a: b"",
+        lambda b, a: b[:-8],
+        lambda b, a: b[:40],
+        lambda b, a: b"t,x_0,x_1,x_2,x_3,F_0,F_1,cond_id\n0.02,1,2,3,4,5,6,0\n",
+        lambda b, a: _npy_bytes(a.astype(np.float32)),
+        lambda b, a: _npy_bytes(a.astype(np.int64)),
+        lambda b, a: _npy_bytes(a.ravel()),
+        lambda b, a: _npy_bytes(a[None]),
+        lambda b, a: _npy_header((10**12, a.shape[1])) + a.tobytes(),
+    ], ids=["empty", "truncated_data", "truncated_header", "csv", "float32", "int64",
+            "1d", "3d", "huge_shape"])
+    def test_unreadable_trajectory_file_rejected(self, tmp_path, edit):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        path = tmp_path / "traj_0001.npy"
+        path.write_bytes(edit(path.read_bytes(), np.load(path)))
+        with pytest.raises(ValueError, match="traj_0001.npy"):
+            load_dataset(tmp_path)
+
+    def test_object_array_refused_without_unpickling(self, tmp_path, monkeypatch):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        path = tmp_path / "traj_0001.npy"
+        np.save(path, np.load(path).astype(object), allow_pickle=True)
+
+        def unpickle(*args, **kwargs):
+            raise AssertionError("load_dataset unpickled a trajectory file")
+
+        monkeypatch.setattr(pickle, "load", unpickle)
+        monkeypatch.setattr(pickle, "loads", unpickle)
+        with pytest.raises(ValueError, match="traj_0001.npy"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("f0", ["garbage", {"x": 1.0}, [[1.0, 2.0]]],
@@ -416,7 +466,7 @@ class TestDiskFormat:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["trajectories"][1]["f0"] = f0
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="traj_0001.csv"):
+        with pytest.raises(ValueError, match="traj_0001.npy"):
             load_dataset(tmp_path)
 
     def test_length_one_round_trip(self, tmp_path):

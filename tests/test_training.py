@@ -122,6 +122,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rate_not_finite_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "early_stop_patience"])
+    @pytest.mark.parametrize("value", [0, -1, math.nan])
+    def test_count_below_one(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
 
 @pytest.fixture(scope="module")
 def small_data():
