@@ -14,7 +14,9 @@ x euler and rk4 on Task 2 at its full horizon, L=400, where a batch of three
 fills three score tiles, so attention keeps no weights and its VJP recomputes
 them. Each encoder x solver also forecasts at batch 1 (the benchmark's
 forecast shape) and unbatched, x [L, n] and F0 [f] (the CLI's), with its
-loss gradients and tape nodes. Layer cases cover calls that no model makes:
+loss gradients and tape nodes. Taped cases run ``integrate`` with a plain
+closure kernel, which tapes every solver step, Euler and RK4, with and
+without a time column. Layer cases cover calls that no model makes:
 a LinearLayer and an MLPBlock on 1-d and 3-d input, an LSTMStack fed one
 unbatched 2-d sequence and a sequence with two batch axes, and a
 MultiHeadSelfAttention on two batch axes at L=200, whose six trajectories
@@ -107,6 +109,44 @@ def _model_case(hf, out, key, ds, cfg, fitted, tmp, batch=BATCH):
         out[f"{key}/adjoint/{name}"] = g
 
 
+def _taped_cases(hf, out):
+    """``integrate``'s taped per-step path: a plain closure over an MLPBlock,
+    as acceptance criterion 4 builds it, and a variant that appends t as a
+    column; Euler and RK4, on a batch of three and on a 1-d state. Each dumps
+    the trajectory, the gradients of F0, the controls and the parameters of a
+    squared-error loss, and its tape-node count."""
+    Tensor, ad = hf.autodiff.Tensor, hf.autodiff
+    grid = hf.odeint.TimeGrid(0.3, 0.05, 20)
+    for tag, width in (("autonomous", 0), ("time-column", 1)):
+        mlp = hf.layers.MLPBlock([2 + 3 + width, 16, 2], np.random.default_rng(1))
+
+        def kernel(state, control, t, mlp=mlp, width=width):
+            parts = [state, control]
+            if width:
+                parts.append(Tensor(np.full(state.shape[:-1] + (1,), t)))
+            return mlp(ad.concat(parts, axis=-1))
+
+        for solver in ("euler", "rk4"):
+            for shape, lead in (("batch", (BATCH,)), ("1d", ())):
+                key = f"taped/{tag}/{solver}/{shape}"
+                rng = np.random.default_rng(2)
+                f0 = Tensor(rng.normal(size=lead + (2,)), requires_grad=True)
+                controls = Tensor(rng.normal(size=lead + (grid.steps, 3)), requires_grad=True)
+                traj = hf.odeint.integrate(solver, f0, kernel, grid, controls)
+                target = Tensor(rng.normal(size=traj.shape))
+                loss = ad.reduce_sum(ad.square(ad.sub(traj, target)))
+                params = dict(mlp.named_parameters())
+                for t in (f0, controls, *params.values()):
+                    t.zero_grad()
+                ad.backward(loss)
+                out[f"{key}/trajectory"] = traj.data
+                out[f"{key}/nodes"] = np.array(_tape_nodes(loss))
+                out[f"{key}/grad/F0"] = f0.grad
+                out[f"{key}/grad/controls"] = controls.grad
+                for name, t in params.items():
+                    out[f"{key}/grad/{name}"] = t.grad
+
+
 def _layer_cases(hf, out):
     Tensor, ad, layers = hf.autodiff.Tensor, hf.autodiff, hf.layers
     rng = np.random.default_rng(11)
@@ -173,6 +213,7 @@ def dump(path) -> None:
             cfg = hf.models.ModelConfig(encoder="attention", solver=solver, n_in=ds.n,
                                         f_out=ds.f, dt=ds.dt)
             _model_case(hf, out, f"2-L400/attention/{solver}/fitted", ds, cfg, True, tmp)
+        _taped_cases(hf, out)
         _layer_cases(hf, out)
         ev = hf.evalbench
         table = ev.BenchmarkTable(

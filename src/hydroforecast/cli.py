@@ -167,6 +167,15 @@ def _split_subsets(ds):
     return {name: ds.subset(ids) for name, ids in ds.splits.items()}
 
 
+def _check_model_and_solver(resolved: dict, args) -> None:
+    if resolved["model"] not in MODEL_FLAGS:
+        raise CliError(f"--model must be one of {sorted(MODEL_FLAGS)}")
+    if resolved["solver"] not in ("euler", "rk4"):
+        raise CliError("--solver must be euler or rk4")
+    if resolved["model"] == "lstm" and args.solver is not None:
+        raise CliError("--solver is meaningless for the lstm baseline")
+
+
 def cmd_train(args) -> int:
     from . import evalbench, training as tr
     from .models import build_model
@@ -176,12 +185,7 @@ def cmd_train(args) -> int:
                 "max_epochs": 50, "patience": 20, "grad_clip": 10.0,
                 "lr_decay": 1.0, "preset": "desk"}
     resolved = _resolve(args, defaults)
-    if resolved["model"] not in MODEL_FLAGS:
-        raise CliError(f"--model must be one of {sorted(MODEL_FLAGS)}")
-    if resolved["solver"] not in ("euler", "rk4"):
-        raise CliError("--solver must be euler or rk4")
-    if resolved["model"] == "lstm" and args.solver is not None:
-        raise CliError("--solver is meaningless for the lstm baseline")
+    _check_model_and_solver(resolved, args)
     if resolved["preset"] not in evalbench.PRESETS:
         raise CliError(f"--preset must be one of {sorted(evalbench.PRESETS)}")
     if not resolved["data"]:
@@ -343,8 +347,7 @@ def cmd_gradcheck(args) -> int:
     defaults = {"model": "attention-ode", "solver": "euler", "steps": 10,
                 "seed": 0, "tolerance": 1e-4}
     resolved = _resolve(args, defaults)
-    if resolved["model"] not in MODEL_FLAGS:
-        raise CliError(f"--model must be one of {sorted(MODEL_FLAGS)}")
+    _check_model_and_solver(resolved, args)
     steps = int(resolved["steps"])
     config = ModelConfig(encoder=MODEL_FLAGS[resolved["model"]], n_in=4, f_out=2,
                          d_model=8, heads=2, latent=8, kernel_hidden=(8, 8),

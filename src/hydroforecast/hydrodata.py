@@ -425,6 +425,21 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_manifest(manifest, path: Path) -> None:
+    """The scalars that size every table, before any is read."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    for key in ("n", "f", "L", "num_trajectories"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 1:  # type(): a bool is not a count
+            raise ValueError(f"{path}: {key} must be an integer >= 1 (got {value!r})")
+    dt = manifest.get("dt")
+    if type(dt) not in (int, float) or not 0 < dt < float("inf"):
+        raise ValueError(f"{path}: dt must be a finite number above 0 (got {dt!r})")
+    if not isinstance(manifest.get("trajectories"), list):
+        raise ValueError(f"{path}: trajectories is not a list")
+
+
 def load_dataset(indir) -> TrajectoryDataset:
     """Read a dataset that ``save_dataset`` wrote.
 
@@ -432,13 +447,15 @@ def load_dataset(indir) -> TrajectoryDataset:
     other fault raises ``ValueError`` naming the file: a trajectory file that
     is not a finite float64 [L, 2+n+f] ``.npy`` table with integer cond_ids
     (an empty or truncated file, a CSV, another dtype, or an object array,
-    which is never unpickled), or a malformed f0 or splits in the manifest.
+    which is never unpickled), or a manifest that is not a JSON object, or
+    whose n, f, L, num_trajectories, dt, trajectories, f0 or splits is malformed.
     """
     root = Path(indir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {root}")
     manifest = json.loads(manifest_path.read_text())
+    _check_manifest(manifest, manifest_path)
     records = []
     if len(manifest["trajectories"]) != manifest["num_trajectories"]:
         raise ValueError("manifest trajectory count does not match its own listing")

@@ -1,21 +1,19 @@
 """Fixed-step differentiable ODE integration (Forward Euler, classic RK4).
 
-Two gradient paths are supported: backprop through the unrolled solver
-(the default used in training) and a step-reversed adjoint sweep that
-rebuilds one solver step at a time, so memory stays O(1) in the horizon.
-Controls are zero-order held across a step, including RK4 substages.
+Each solver is one row of the chain-form stage table ``_STAGES``: stage 0
+evaluates the field at the state, stage j > 0 at ``state + k_{j-1} * h_j *
+dt``, and ``_update`` combines the stages' derivatives into the next state.
+Every path walks the table through the one ``_step``, because the discrete
+adjoint is exact only while it replays the forward pass's own step. Controls
+are zero-order held across a step, including RK4 substages.
 
 With the model's vector field, an ``MLPKernel``, the whole solve is one tape
-node: its forward runs the step loop on numpy arrays, and its VJP is the
-discrete adjoint of that loop, each stage reversed through the MLP's
-hand-written VJP. The node keeps only each kernel evaluation's stage state
-and control row; the VJP reruns that evaluation's MLP forward just before
-reversing it. It repeats the taped path's expressions and adds every
-gradient in the order the tape sweep would, so trajectories and gradients
-are bit-identical to it. Any other kernel is taped step by step: the Euler
-update, each RK4 stage point, the RK4 update and the trajectory stack are
-one node each, so with a one-node kernel a step adds three nodes (Euler) or
-nine (RK4), counting the control slice.
+node: ``_step`` runs on numpy arrays, and the VJP reverses the stages, last
+first, each through the MLP's hand-written VJP after rerunning its forward
+from the kept stage state and control row. It adds every gradient in the
+taped path's order, so both give the same bytes. Any other kernel is taped
+one node per stage point and update: with a one-node kernel, three a step
+(Euler) or nine (RK4), counting the control slice, plus the final stack.
 """
 
 from __future__ import annotations
@@ -68,7 +66,9 @@ def _control_at(controls: Tensor, i: int) -> Tensor:
     return controls[(Ellipsis, i, slice(None))]
 
 
-def _check_lengths(controls: Tensor, grid: TimeGrid) -> None:
+def _check_solve(solver: str, controls: Tensor, grid: TimeGrid) -> None:
+    if solver not in _STAGES:
+        raise ValueError(f"unknown solver {solver!r} (euler or rk4)")
     if controls.shape[-2] != grid.steps:
         raise ShapeError(f"controls length {controls.shape[-2]} != grid steps {grid.steps}")
 
@@ -90,48 +90,65 @@ def _check_derivatives(state: Tensor, ks: Sequence[Tensor]) -> None:
 
 
 def _axpy(state: Tensor, k: Tensor, h: float) -> Tensor:
-    """``state + h * k`` as one node: an Euler step or an RK4 stage point."""
+    """``state + h * k`` as one node: a stage point of the taped step."""
     _check_derivatives(state, (k,))
     h = float(h)
     return Tensor._make(state.data + k.data * h, (state, k), lambda g: (g, g * h), "axpy")
 
 
+def _np_axpy(state: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    return state + k * float(h)
+
+
+# Each solver's h_2..h_m: stage j > 0 evaluates the field at
+# state + k_{j-1} * h_j * dt, at time t + h_j * dt.
+_STAGES = {"euler": (), "rk4": (0.5, 0.5, 1.0)}
+
+
+def _update(solver: str, state: np.ndarray, ks: Sequence[np.ndarray], dt: float) -> np.ndarray:
+    """The next state from the stage derivatives ``ks``."""
+    if solver == "euler":
+        return state + ks[0] * float(dt)
+    k1, k2, k3, k4 = ks
+    return state + ((k1 + k2 * 2.0) + (k3 * 2.0 + k4)) * float(dt / 6.0)
+
+
+def _update_vjp(solver: str, g: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """dL/dk of ``_update`` for each stage, given dL/d(next state); dL/d(state) is g."""
+    if solver == "euler":
+        return (g * float(dt),)
+    g1 = g * float(dt / 6.0)
+    g2 = g1 * 2.0
+    return g1, g2, g2, g1
+
+
+def _update_node(solver: str, state: Tensor, ks: Sequence[Tensor], dt: float) -> Tensor:
+    """``_update`` as one node."""
+    _check_derivatives(state, ks)
+    out = _update(solver, state.data, [k.data for k in ks], dt)
+    return Tensor._make(out, (state, *ks), lambda g: (g, *_update_vjp(solver, g, dt)),
+                        f"{solver}_update")
+
+
 def _rk4_update(state: Tensor, ks: Sequence[Tensor], dt: float) -> Tensor:
     """``state + dt/6 * ((k1 + 2 k2) + (2 k3 + k4))`` as one node."""
-    _check_derivatives(state, ks)
-    k1, k2, k3, k4 = ks
-    h = float(dt / 6.0)
-    incr = (k1.data + k2.data * 2.0) + (k3.data * 2.0 + k4.data)
-
-    def vjp(g):
-        g1 = g * h
-        g2 = g1 * 2.0
-        return g, g1, g2, g2, g1
-
-    return Tensor._make(state.data + incr * h, (state, *ks), vjp, "rk4_update")
+    return _update_node("rk4", state, ks, dt)
 
 
-def _euler_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
-    return _axpy(state, kernel(state, c, t), dt)
+def _step(solver: str, state, field, axpy, update, dt: float):
+    """One step of ``solver``, on tensors or on arrays: ``field(s, h)`` is the derivative
+    at stage point s, h * dt into the step, and ``axpy(s, k, h)`` is s + h * k."""
+    ks = [field(state, 0.0)]
+    for h in _STAGES[solver]:
+        ks.append(field(axpy(state, ks[-1], h * dt), h))
+    return update(solver, state, ks, dt)
 
 
-def _rk4_step(state: Tensor, c: Tensor, t: float, dt: float, kernel: Kernel) -> Tensor:
-    k1 = kernel(state, c, t)
-    k2 = kernel(_axpy(state, k1, dt / 2.0), c, t + dt / 2.0)
-    k3 = kernel(_axpy(state, k2, dt / 2.0), c, t + dt / 2.0)
-    k4 = kernel(_axpy(state, k3, dt), c, t + dt)
-    return _rk4_update(state, (k1, k2, k3, k4), dt)
-
-
-# One step per solver, shared by the forward loop and the adjoint sweep: the
-# adjoint is exact only while it replays the forward pass's discrete step.
-_STEPS = {"euler": _euler_step, "rk4": _rk4_step}
-
-
-def _step_fn(solver: str):
-    if solver not in _STEPS:
-        raise ValueError(f"unknown solver {solver!r} (euler or rk4)")
-    return _STEPS[solver]
+def _taped_step(solver: str, state: Tensor, kernel: Kernel, c: Tensor, grid: TimeGrid,
+                i: int) -> Tensor:
+    """Step i of ``grid``, one node per stage point and update besides the kernel's."""
+    t, dt = grid.t0 + i * grid.dt, grid.dt
+    return _step(solver, state, lambda s, h: kernel(s, c, t + h * dt), _axpy, _update_node, dt)
 
 
 def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
@@ -141,14 +158,13 @@ def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
     An ``MLPKernel`` makes the whole solve one node (``_mlp_solve``); any
     other kernel is taped step by step.
     """
-    step = _step_fn(solver)
-    _check_lengths(controls, grid)
+    _check_solve(solver, controls, grid)
     if isinstance(kernel, MLPKernel):
         return _mlp_solve(solver, f0, kernel, grid, controls)
     state = f0
     out = []
     for i in range(grid.steps):
-        state = step(state, _control_at(controls, i), grid.t0 + i * grid.dt, grid.dt, kernel)
+        state = _taped_step(solver, state, kernel, _control_at(controls, i), grid, i)
         out.append(state)
     return _stack_states(out)
 
@@ -175,7 +191,7 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
     caches = []  # per kernel evaluation: its stage state and control view
 
-    def field(s, c):
+    def field(s, h):  # autonomous, so h goes unused; c is the current step's control row
         if track:
             caches.append((s, c))
         return ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)[0]
@@ -183,14 +199,7 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     dt, s, states = grid.dt, f0.data, []
     for i in range(grid.steps):
         c = controls.data[..., i, :]
-        if solver == "euler":
-            s = s + field(s, c) * float(dt)
-        else:
-            k1 = field(s, c)
-            k2 = field(s + k1 * float(dt / 2.0), c)
-            k3 = field(s + k2 * float(dt / 2.0), c)
-            k4 = field(s + k3 * float(dt), c)
-            s = s + ((k1 + k2 * 2.0) + (k3 * 2.0 + k4)) * float(dt / 6.0)
+        s = _step(solver, s, field, _np_axpy, _update, dt)
         states.append(s)
     out = np.stack(states, axis=-2)
     if not track:
@@ -218,30 +227,23 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
             gx = gx.reshape(lead + (-1,))
             return gx[..., :f], None if gc_all is None else gx[..., f:f + controls.shape[-1]]
 
+        hs = _STAGES[solver]
         g_s = g[..., grid.steps - 1, :]
         for i in reversed(range(grid.steps)):
-            # g_s is dL/d(state after step i); the first evaluation of step 0
-            # reads F0, which may need no gradient
+            # the first evaluation of step 0 reads F0, which may need no gradient
             first_gx = i > 0 or f0.requires_grad or gc_all is not None
-            if solver == "euler":
-                gs_k, gc = stage(i, g_s * float(dt), first_gx)
-                terms = (g_s, gs_k)
-            else:
-                g1 = g_s * float(dt / 6.0)
-                g2 = g1 * 2.0
-                ga3, c4 = stage(4 * i + 3, g1, True)
-                ga2, c3 = stage(4 * i + 2, g2 + ga3 * float(dt), True)
-                ga1, c2 = stage(4 * i + 1, g2 + ga2 * float(dt / 2.0), True)
-                gs_k, c1 = stage(4 * i, g1 + ga1 * float(dt / 2.0), first_gx)
-                gc = None if gc_all is None else ((c4 + c3) + c2) + c1
-                terms = (g_s, ga3, ga2, ga1, gs_k)
-            if gc_all is not None:
-                gc_all[..., i, :] += gc
-            g_s = g[..., i - 1, :] if i > 0 else None
-            if i > 0 or f0.requires_grad:
-                for term in terms:
-                    g_s = term if g_s is None else g_s + term
-        return (g_s, gc_all, *gws, *gbs)
+            gks, ga = _update_vjp(solver, g_s, dt), None
+            # g_s turns from dL/d(state after step i) into dL/d(state before it)
+            g_s = g_s if i == 0 else g[..., i - 1, :] + g_s
+            for j in reversed(range(len(gks))):
+                # k_j also moved stage j + 1's point, by h_{j+1} * dt
+                gk = gks[j] if ga is None else gks[j] + ga * float(hs[j] * dt)
+                ga, gc = stage(len(gks) * i + j, gk, j > 0 or first_gx)
+                if ga is not None:
+                    g_s = g_s + ga
+                if gc_all is not None:  # from a zero row: the bytes of ((c4 + c3) + c2) + c1
+                    gc_all[..., i, :] += gc
+        return (g_s if f0.requires_grad else None, gc_all, *gws, *gbs)
 
     return Tensor._make(out, parents, vjp, "solve")
 
@@ -257,28 +259,26 @@ def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: T
     adding the per-observation loss gradients as impulses. Returns parameter
     gradients (by name) and dL/dF0.
     """
-    step = _step_fn(solver)
+    _check_solve(solver, controls, grid)
     trajectory = np.asarray(trajectory, dtype=np.float64)
     dl = np.asarray(dl_dtrajectory, dtype=np.float64)
     if trajectory.shape[-2] != grid.steps:
         raise ShapeError(f"trajectory length {trajectory.shape[-2]} != grid steps {grid.steps}")
     if dl.shape != trajectory.shape:
         raise ShapeError(f"dL/dtrajectory shape {dl.shape} != trajectory {trajectory.shape}")
-    _check_lengths(controls, grid)
 
     params = list(params)
     pgrads = {name: np.zeros_like(t.data) for name, t in params}
     saved = [(name, t, t.grad) for name, t in params]
 
-    states = [f0.data] + [trajectory[(Ellipsis, i, slice(None))] for i in range(grid.steps)]
     a = dl[(Ellipsis, grid.steps - 1, slice(None))].copy()
     try:
         for name, t, _ in saved:
             t.grad = None
         for i in range(grid.steps - 1, -1, -1):
-            s = Tensor(states[i], requires_grad=True)
+            s = Tensor(trajectory[..., i - 1, :] if i > 0 else f0.data, requires_grad=True)
             c = Tensor(_control_at(controls, i).data)
-            nxt = step(s, c, grid.t0 + i * grid.dt, grid.dt, kernel)
+            nxt = _taped_step(solver, s, kernel, c, grid, i)
             ad.backward(nxt, seed=a)
             a = s.grad.copy()
             for name, t, _ in saved:

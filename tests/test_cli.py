@@ -300,6 +300,25 @@ class TestTrain:
         assert r.returncode == 5
         assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("edit", [{"n": "4"}, {"f": None}, {"dt": "x"}, {"dt": None},
+                                      {"dt": -1}, {"dt": 0}, "list"],
+                             ids=["n_text", "f_null", "dt_text", "dt_null", "dt_negative",
+                                  "dt_zero", "list"])
+    def test_bad_manifest_scalar_exit_5(self, dataset_dir, tmp_path, edit):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        if edit == "list":
+            manifest = [manifest]
+        else:
+            manifest.update(edit)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
+
     def test_fractional_cond_id_exit_5(self, dataset_dir, tmp_path):
         import shutil
         broken = tmp_path / "broken"
@@ -480,6 +499,18 @@ class TestGradcheck:
     def test_steps_out_of_range(self):
         r = run_cli("gradcheck", "--steps", "500")
         assert r.returncode == 2
+
+    def test_unknown_solver_in_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": "heun"}))
+        r = run_cli("gradcheck", "--config", str(cfg))
+        assert r.returncode == 2
+        assert "--solver" in r.stderr and "Traceback" not in r.stderr
+
+    def test_lstm_with_solver_rejected(self):
+        r = run_cli("gradcheck", "--model", "lstm", "--solver", "rk4")
+        assert r.returncode == 2
+        assert "solver" in r.stderr
 
 
 class TestThreads:

@@ -469,6 +469,25 @@ class TestDiskFormat:
         with pytest.raises(ValueError, match="traj_0001.npy"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edit", [
+        {"n": "4"}, {"n": 4.0}, {"n": True}, {"f": None}, {"L": 0},
+        {"num_trajectories": -2}, {"dt": "x"}, {"dt": None}, {"dt": -1}, {"dt": 0},
+        {"dt": float("nan")}, {"dt": float("inf")}, {"dt": True},
+        {"trajectories": {"file": "traj_0000.npy"}}, "list"],
+        ids=["n_text", "n_float", "n_bool", "f_null", "L_zero", "count_negative", "dt_text",
+             "dt_null", "dt_negative", "dt_zero", "dt_nan", "dt_inf", "dt_bool",
+             "trajectories_object", "list"])
+    def test_malformed_manifest_scalar_rejected(self, tmp_path, edit):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        if edit == "list":
+            manifest = [manifest]
+        else:
+            manifest.update(edit)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest.json"):
+            load_dataset(tmp_path)
+
     def test_length_one_round_trip(self, tmp_path):
         ds = generate("1.1", num_trajectories=1, length=1)
         save_dataset(ds, tmp_path)

@@ -7,6 +7,7 @@ from hydroforecast import autodiff as ad
 from hydroforecast.autodiff import ShapeError, Tensor
 from hydroforecast.layers import MLPBlock, collect_params
 from hydroforecast.odeint import (
+    MLPKernel,
     TimeGrid,
     adjoint_backward,
     convergence_slope,
@@ -91,8 +92,17 @@ class TestRK4:
 class TestDispatch:
     def test_unknown_solver(self):
         grid = TimeGrid(0.0, 0.1, 1)
+        f0, controls = Tensor([1.0]), Tensor(np.zeros((1, 1)))
         with pytest.raises(ValueError, match="solver"):
-            integrate("heun", Tensor([1.0]), decay_kernel, grid, Tensor(np.zeros((1, 1))))
+            integrate("heun", f0, decay_kernel, grid, controls)
+        mlp = MLPBlock([1 + 1, 4, 1], np.random.default_rng(0))
+        kernel = MLPKernel([layer.weight for layer in mlp.layers],
+                           [layer.bias for layer in mlp.layers])
+        with pytest.raises(ValueError, match="solver"):
+            integrate("heun", f0, kernel, grid, controls)  # the one-node solve
+        with pytest.raises(ValueError, match="solver"):
+            adjoint_backward(np.zeros((1, 1)), f0, decay_kernel, grid, controls,
+                             np.zeros((1, 1)), [], solver="heun")
 
     def test_named_solvers_route(self):
         grid = TimeGrid(0.0, 0.1, 2)
