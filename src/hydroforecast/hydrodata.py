@@ -426,7 +426,8 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
 
 
 def _check_manifest(manifest, path: Path) -> None:
-    """The scalars that size every table, before any is read."""
+    """Refuse a manifest whose sizes, dt or trajectory list are malformed,
+    before any table is read or sized from them."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path} is not a JSON object")
     for key in ("n", "f", "L", "num_trajectories"):
