@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, predict, eval, bench, gradcheck. Settings
-resolve as defaults <- JSON config file <- flags, and the fully resolved
-config is echoed into every output directory. Exit codes: 0 success,
-1 verification failure, 2 usage, 3 I/O failure, 4 numerical divergence,
-5 corrupt artifact.
+Subcommands: gen-data, train, predict, eval, bench, gradcheck. Each
+subcommand's parser is the one declaration of its settings: name, type,
+default and choices. Settings resolve as defaults <- JSON config file <-
+flags, and the fully resolved config is echoed into every output directory.
+Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O failure,
+4 numerical divergence, 5 corrupt artifact.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COUNT = (lambda v: v >= 1, "at least 1")
 POSITIVE = (lambda v: 0 < v < math.inf, "a finite number above 0")
 
+# what a parsed namespace holds besides the settings that the config echo lists
+NOT_SETTINGS = ("command", "config", "func", "domains")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -40,55 +44,69 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_out(subcommand: str) -> str | None:
-    root = os.environ.get("HYDROFORECAST_OUT")
-    if root:
-        return str(Path(root) / subcommand)
-    return None
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicitly passed flags."""
-    merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            file_cfg = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {cfg_path}", EXIT_IO)
-        except (OSError, UnicodeDecodeError) as e:
-            raise CliError(f"cannot read config file {cfg_path}: {e}", EXIT_IO)
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file is not valid JSON: {e}", EXIT_USAGE)
-        if not isinstance(file_cfg, dict):
-            raise CliError(f"config file must hold a JSON object, not "
-                           f"{type(file_cfg).__name__}", EXIT_USAGE)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
-        for key, value in file_cfg.items():
-            kind = args.config_types.get(key, str)
-            if not _fits(value, kind, defaults[key]):
-                raise CliError(f"config key {key!r} must be {kind.__name__}, got "
-                               f"{value!r}", EXIT_USAGE)
-        merged.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
-    for key, (ok, what) in getattr(args, "domains", {}).items():
-        if merged[key] is not None and not ok(merged[key]):
-            raise CliError(f"--{key.replace('_', '-')} must be {what}, got {merged[key]!r}")
-    merged["threads"] = args.threads  # applied by main() before numpy loads
-    return merged
+def _resolve(parser: argparse.ArgumentParser, argv, args: argparse.Namespace):
+    """defaults <- config file <- flags: a config file's values become its
+    subcommand's defaults, and ``argv`` is parsed again over them. Every final
+    value is then checked against its flag's choices and domain, whatever its
+    source."""
+    sub = _command_parser(parser, args.command)
+    # main() applies --threads before numpy loads, so no config file sets it
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config", "threads")}
+    if args.config:
+        sub.set_defaults(**_read_config(args.config, actions))
+        args = parser.parse_args(argv)
+    for action in actions.values():
+        value = getattr(args, action.dest)
+        if action.choices and value is not None and value not in action.choices:
+            raise CliError(f"{action.option_strings[0]} must be one of "
+                           f"{', '.join(action.choices)}, got {value!r}")
+    for key, (ok, what) in args.domains.items():
+        value = getattr(args, key)
+        if value is not None and not ok(value):
+            raise CliError(f"--{key.replace('_', '-')} must be {what}, got {value!r}")
+    return args
 
 
-def _fits(value, kind: type, default) -> bool:
-    """Whether a config file's ``value`` is what its flag's ``kind`` parses
-    to: null only where the default is null, an int also for a float flag,
-    never a bool."""
+def _read_config(path: str, actions: dict) -> dict:
+    """A config file's settings, each of the type its flag parses to."""
+    try:
+        file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}", EXIT_IO)
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read config file {path}: {e}", EXIT_IO)
+    except json.JSONDecodeError as e:
+        raise CliError(f"config file is not valid JSON: {e}", EXIT_USAGE)
+    if not isinstance(file_cfg, dict):
+        raise CliError(f"config file must hold a JSON object, not "
+                       f"{type(file_cfg).__name__}", EXIT_USAGE)
+    unknown = set(file_cfg) - set(actions)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
+    for key, value in file_cfg.items():
+        kind = actions[key].type or str
+        if not _fits(value, actions[key]):
+            raise CliError(f"config key {key!r} must be {kind.__name__}, got "
+                           f"{value!r}", EXIT_USAGE)
+        if kind is float:
+            file_cfg[key] = float(value)
+    return file_cfg
+
+
+def _fits(value, action: argparse.Action) -> bool:
+    """Whether a config file's ``value`` is what ``action``'s flag parses to:
+    an int also for a float flag, never a bool. Null stands for an unset
+    value only where the flag's default is null and it is neither a float nor
+    a choice: ``--dt`` and ``--solver`` take their defaults in the command,
+    and ``--task`` must be set."""
+    kind = action.type or str
     if value is None:
-        return default is None
+        return action.default is None and kind is not float and not action.choices
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
@@ -96,17 +114,20 @@ def _fits(value, kind: type, default) -> bool:
 
 def _echo_config(outdir: Path, subcommand: str, resolved: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = {"subcommand": subcommand, **resolved}
+    settings = {k: v for k, v in resolved.items() if k not in NOT_SETTINGS}
+    payload = {"subcommand": subcommand, **settings}
     with atomic_write(outdir / "resolved_config.json") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _require_out(resolved: dict, subcommand: str) -> Path:
-    out = resolved.get("out") or _default_out(subcommand)
-    if not out:
+def _require_out(args) -> Path:
+    """``--out``, else ``$HYDROFORECAST_OUT/<subcommand>``, written back for the echo."""
+    root = os.environ.get("HYDROFORECAST_OUT")
+    if not args.out and root:
+        args.out = str(Path(root) / args.command)
+    if not args.out:
         raise CliError("--out is required (or set HYDROFORECAST_OUT)", EXIT_USAGE)
-    resolved["out"] = str(out)
-    return Path(out)
+    return Path(args.out)
 
 
 # ---- gen-data ------------------------------------------------------------
@@ -115,34 +136,30 @@ def _require_out(resolved: dict, subcommand: str) -> Path:
 def cmd_gen_data(args) -> int:
     from . import hydrodata as hd
 
-    defaults = {"task": None, "out": None, "seed": 0, "trajectories": None,
-                "dt": hd.DEFAULT_DT, "length": None, "split_seed": None}
-    resolved = _resolve(args, defaults)
-    task = resolved["task"]
-    if task not in ("1.1", "1.2", "1.3", "2"):
-        raise CliError(f"--task must be one of 1.1, 1.2, 1.3, 2 (got {task})")
-    out = _require_out(resolved, "gen-data")
-    seed = int(resolved["seed"])
+    if args.task is None:
+        raise CliError("--task is required")
+    out = _require_out(args)
+    if args.dt is None:  # the oracle's default; build_parser must not import numpy
+        args.dt = hd.DEFAULT_DT
     try:
-        ds = hd.generate(task, seed=seed, num_trajectories=resolved["trajectories"],
-                         dt=float(resolved["dt"]), length=resolved["length"])
+        ds = hd.generate(args.task, seed=args.seed, num_trajectories=args.trajectories,
+                         dt=args.dt, length=args.length)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     except MemoryError as e:  # numpy refuses an array larger than it can allocate
         raise CliError(f"dataset too large to allocate: {e}", EXIT_USAGE)
-    split_seed = resolved["split_seed"]
     try:
         _, _, _, assignment = hd.split_dataset(
-            ds, seed=seed if split_seed is None else int(split_seed))
+            ds, seed=args.seed if args.split_seed is None else args.split_seed)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     ds.splits = assignment
     try:
         hd.save_dataset(ds, out)
-        _echo_config(out, "gen-data", resolved)
+        _echo_config(out, args.command, vars(args))
     except OSError as e:
         raise CliError(f"cannot write dataset: {e}", EXIT_IO)
-    print(f"wrote {ds.num_trajectories} trajectories (task {task}, n={ds.n}, "
+    print(f"wrote {ds.num_trajectories} trajectories (task {args.task}, n={ds.n}, "
           f"f={ds.f}, L={ds.length}) to {out}")
     return EXIT_OK
 
@@ -167,45 +184,35 @@ def _split_subsets(ds):
     return {name: ds.subset(ids) for name, ids in ds.splits.items()}
 
 
-def _check_model_and_solver(resolved: dict, args) -> None:
-    if resolved["model"] not in MODEL_FLAGS:
-        raise CliError(f"--model must be one of {sorted(MODEL_FLAGS)}")
-    if resolved["solver"] not in ("euler", "rk4"):
-        raise CliError("--solver must be euler or rk4")
-    if resolved["model"] == "lstm" and args.solver is not None:
+def _resolve_solver(args) -> None:
+    """``--solver``, from a flag or a config file, means nothing to the lstm
+    baseline; unset, it is euler, written back for the echo."""
+    if args.model == "lstm" and args.solver is not None:
         raise CliError("--solver is meaningless for the lstm baseline")
+    if args.solver is None:
+        args.solver = "euler"
 
 
 def cmd_train(args) -> int:
     from . import evalbench, training as tr
     from .models import build_model
 
-    defaults = {"data": None, "model": "attention-ode", "solver": "euler",
-                "out": None, "seed": 0, "lr": 3e-3, "batch_size": 16,
-                "max_epochs": 50, "patience": 20, "grad_clip": 10.0,
-                "lr_decay": 1.0, "preset": "desk"}
-    resolved = _resolve(args, defaults)
-    _check_model_and_solver(resolved, args)
-    if resolved["preset"] not in evalbench.PRESETS:
-        raise CliError(f"--preset must be one of {sorted(evalbench.PRESETS)}")
-    if not resolved["data"]:
+    _resolve_solver(args)
+    if not args.data:
         raise CliError("--data is required")
-    out = _require_out(resolved, "train")
-    ds = _load_dataset_or_die(resolved["data"])
+    out = _require_out(args)
+    ds = _load_dataset_or_die(args.data)
     subsets = _split_subsets(ds)
     model = build_model(evalbench.preset_config(
-        evalbench.PRESETS[resolved["preset"]], MODEL_FLAGS[resolved["model"]],
-        resolved["solver"], ds, int(resolved["seed"])))
+        evalbench.PRESETS[args.preset], MODEL_FLAGS[args.model], args.solver, ds, args.seed))
     model.fit_normalizer(subsets["train"])
-    train_cfg = tr.TrainConfig(learning_rate=float(resolved["lr"]),
-                               batch_size=int(resolved["batch_size"]),
-                               max_epochs=int(resolved["max_epochs"]),
-                               early_stop_patience=int(resolved["patience"]),
-                               grad_clip_norm=float(resolved["grad_clip"]),
-                               lr_decay=float(resolved["lr_decay"]),
-                               seed=int(resolved["seed"]))
+    train_cfg = tr.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                               max_epochs=args.max_epochs,
+                               early_stop_patience=args.patience,
+                               grad_clip_norm=args.grad_clip, lr_decay=args.lr_decay,
+                               seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, "train", resolved)
+    _echo_config(out, args.command, vars(args))
     try:
         report = tr.train(model, subsets["train"], subsets["val"], train_cfg,
                           checkpoint_path=out / "model.ckpt",
@@ -253,28 +260,25 @@ def _write_prediction_csvs(out: Path, subset, pred) -> None:
                        fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def cmd_predict(args, with_metrics: bool = False) -> int:
+def cmd_predict(args) -> int:
+    """``predict``, and ``eval``, which adds metrics and SVG overlays."""
     from . import evalbench
 
-    sub = "eval" if with_metrics else "predict"
-    defaults = {"checkpoint": None, "data": None, "out": None, "split": "test",
-                "seed": 0}
-    resolved = _resolve(args, defaults)
-    if not resolved["checkpoint"] or not resolved["data"]:
+    if not args.checkpoint or not args.data:
         raise CliError("--checkpoint and --data are required")
-    out = _require_out(resolved, sub)
-    model = _load_model_or_die(resolved["checkpoint"])
-    ds = _load_dataset_or_die(resolved["data"])
+    out = _require_out(args)
+    model = _load_model_or_die(args.checkpoint)
+    ds = _load_dataset_or_die(args.data)
     subsets = _split_subsets(ds)
-    if resolved["split"] not in subsets:
-        raise CliError(f"manifest 'splits' has no {resolved['split']!r} entry")
-    subset = subsets[resolved["split"]]
+    if args.split not in subsets:
+        raise CliError(f"manifest 'splits' has no {args.split!r} entry")
+    subset = subsets[args.split]
     x, forces, f0, pred = _predict_split(model, subset)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _echo_config(out, sub, resolved)
+        _echo_config(out, args.command, vars(args))
         _write_prediction_csvs(out, subset, pred)
-        if with_metrics:
+        if args.command == "eval":
             metrics = evalbench.compute_metrics(pred, forces)
             with atomic_write(out / "metrics.json") as fh:
                 fh.write(json.dumps({
@@ -282,16 +286,16 @@ def cmd_predict(args, with_metrics: bool = False) -> int:
                     "mae_per_axis": list(metrics.mae_per_axis),
                     "rmse_per_axis": list(metrics.rmse_per_axis),
                     "num_samples": metrics.num_samples,
-                    "split": resolved["split"]}, indent=2, sort_keys=True) + "\n")
+                    "split": args.split}, indent=2, sort_keys=True) + "\n")
             labels = ([f"F{a}" for a in "xyz"[:subset.f]] if subset.f <= 3
                       else ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])
             for j, rec in enumerate(subset.records):
                 evalbench.plot_trajectory_svg(
                     rec.times, forces[j], pred[j], out / f"overlay_{j:04d}.svg",
-                    title=f"trajectory {j} ({resolved['split']} split)",
+                    title=f"trajectory {j} ({args.split} split)",
                     axis_labels=labels)
             print(f"MAE {metrics.mae:.6g}  RMSE {metrics.rmse:.6g} "
-                  f"on {subset.num_trajectories} {resolved['split']} trajectories")
+                  f"on {subset.num_trajectories} {args.split} trajectories")
     except OSError as e:
         raise CliError(f"cannot write outputs: {e}", EXIT_IO)
     return EXIT_OK
@@ -303,24 +307,15 @@ def cmd_predict(args, with_metrics: bool = False) -> int:
 def cmd_bench(args) -> int:
     from . import evalbench
 
-    defaults = {"suite": "all", "preset": "desk", "out": None, "seed": 0,
-                "max_epochs": None}
-    resolved = _resolve(args, defaults)
-    if resolved["suite"] not in ("task1", "task2", "all"):
-        raise CliError("--suite must be task1, task2, or all")
-    if resolved["preset"] not in evalbench.PRESETS:
-        raise CliError(f"--preset must be one of {sorted(evalbench.PRESETS)}")
-    out = _require_out(resolved, "bench")
+    out = _require_out(args)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, "bench", resolved)
+    _echo_config(out, args.command, vars(args))
 
     def on_row(table):
         evalbench.emit_report(table, out)  # crash-safe partial results
 
-    table = evalbench.run_benchmark(suite=resolved["suite"],
-                                    preset_name=resolved["preset"],
-                                    seed=int(resolved["seed"]),
-                                    max_epochs=resolved["max_epochs"],
+    table = evalbench.run_benchmark(suite=args.suite, preset_name=args.preset,
+                                    seed=args.seed, max_epochs=args.max_epochs,
                                     on_row=on_row)
     evalbench.emit_report(table, out)
     failures = [c for c in table.rows if c.failure]
@@ -344,22 +339,15 @@ def cmd_gradcheck(args) -> int:
     from .autodiff import Tensor
     from .models import ModelConfig, build_model
 
-    defaults = {"model": "attention-ode", "solver": "euler", "steps": 10,
-                "seed": 0, "tolerance": 1e-4}
-    resolved = _resolve(args, defaults)
-    _check_model_and_solver(resolved, args)
-    steps = int(resolved["steps"])
-    config = ModelConfig(encoder=MODEL_FLAGS[resolved["model"]], n_in=4, f_out=2,
+    _resolve_solver(args)
+    config = ModelConfig(encoder=MODEL_FLAGS[args.model], n_in=4, f_out=2,
                          d_model=8, heads=2, latent=8, kernel_hidden=(8, 8),
-                         lstm_hidden=8, solver=resolved["solver"], dt=0.05,
-                         seed=int(resolved["seed"]))
+                         lstm_hidden=8, solver=args.solver, dt=0.05, seed=args.seed)
     model = build_model(config)
-    if model.num_params() > 5000:
-        raise CliError(f"model too large for gradcheck ({model.num_params()} params)")
-    rng = np.random.default_rng(int(resolved["seed"]))
-    x = Tensor(rng.uniform(-1, 1, (steps, 4)))
+    rng = np.random.default_rng(args.seed)
+    x = Tensor(rng.uniform(-1, 1, (args.steps, 4)))
     f0 = Tensor(rng.uniform(-1, 1, 2))
-    target = Tensor(rng.uniform(-1, 1, (steps, 2)))
+    target = Tensor(rng.uniform(-1, 1, (args.steps, 2)))
 
     def loss_fn():
         return tr.mse_loss(model.predict_forces(x, f0), target)
@@ -371,11 +359,10 @@ def cmd_gradcheck(args) -> int:
             err += 1.0
         if err > worst_err:
             worst_err, worst_name = err, name
-    tolerance = float(resolved["tolerance"])
-    status = "PASS" if worst_err < tolerance else "FAIL"
+    status = "PASS" if worst_err < args.tolerance else "FAIL"
     print(f"{status}: max relative gradient error {worst_err:.3e} "
-          f"(worst parameter: {worst_name}, tolerance {tolerance:g})")
-    return EXIT_OK if worst_err < tolerance else EXIT_VERIFY
+          f"(worst parameter: {worst_name}, tolerance {args.tolerance:g})")
+    return EXIT_OK if worst_err < args.tolerance else EXIT_VERIFY
 
 
 # ---- parser --------------------------------------------------------------
@@ -387,72 +374,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attention-encoded Neural ODE force forecasting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, **domains):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="BLAS and OpenMP threads, set before numpy loads")
         p.add_argument("--out")
+        p.set_defaults(func=func, domains=domains)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(p)
+    p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
     p.add_argument("--task", choices=["1.1", "1.2", "1.3", "2"])
     p.add_argument("--trajectories", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--length", type=int)
     p.add_argument("--split-seed", type=int)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory")
-    common(p)
+    p = command("train", cmd_train, "train a model on a dataset directory",
+                lr=POSITIVE, batch_size=COUNT, max_epochs=COUNT, patience=COUNT,
+                grad_clip=POSITIVE, lr_decay=(lambda v: 0 < v <= 1, "in (0, 1]"))
     p.add_argument("--data")
-    p.add_argument("--model", choices=sorted(MODEL_FLAGS))
+    p.add_argument("--model", choices=sorted(MODEL_FLAGS), default="attention-ode")
     p.add_argument("--solver", choices=["euler", "rk4"])
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--grad-clip", type=float)
-    p.add_argument("--lr-decay", type=float,
+    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--max-epochs", type=int, default=50)
+    p.add_argument("--patience", type=int, default=20)
+    p.add_argument("--grad-clip", type=float, default=10.0)
+    p.add_argument("--lr-decay", type=float, default=1.0,
                    help="per-epoch learning-rate multiplier in (0, 1]")
-    p.add_argument("--preset", choices=["desk", "paper"])
-    p.set_defaults(func=cmd_train, domains={
-        "lr": POSITIVE, "batch_size": COUNT, "max_epochs": COUNT, "patience": COUNT,
-        "grad_clip": POSITIVE, "lr_decay": (lambda v: 0 < v <= 1, "in (0, 1]")})
+    p.add_argument("--preset", choices=["desk", "paper"], default="desk")
 
-    p = sub.add_parser("predict", help="write per-trajectory force predictions")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--split", choices=["train", "val", "test"])
-    p.set_defaults(func=cmd_predict)
+    for name, help in (("predict", "write per-trajectory force predictions"),
+                       ("eval", "predictions plus metrics and SVG overlays")):
+        p = command(name, cmd_predict, help)
+        p.add_argument("--checkpoint")
+        p.add_argument("--data")
+        p.add_argument("--split", choices=["train", "val", "test"], default="test")
 
-    p = sub.add_parser("eval", help="predictions plus metrics and SVG overlays")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--split", choices=["train", "val", "test"])
-    p.set_defaults(func=lambda a: cmd_predict(a, with_metrics=True))
-
-    p = sub.add_parser("bench", help="run the benchmark suite and emit tables")
-    common(p)
-    p.add_argument("--suite", choices=["task1", "task2", "all"])
-    p.add_argument("--preset", choices=["desk", "paper"])
+    p = command("bench", cmd_bench, "run the benchmark suite and emit tables",
+                max_epochs=COUNT)
+    p.add_argument("--suite", choices=["task1", "task2", "all"], default="all")
+    p.add_argument("--preset", choices=["desk", "paper"], default="desk")
     p.add_argument("--max-epochs", type=int)
-    p.set_defaults(func=cmd_bench, domains={"max_epochs": COUNT})
 
-    p = sub.add_parser("gradcheck", help="verify end-to-end gradients on a tiny model")
-    common(p)
-    p.add_argument("--model", choices=sorted(MODEL_FLAGS))
+    p = command("gradcheck", cmd_gradcheck, "verify end-to-end gradients on a tiny model",
+                steps=(lambda v: 1 <= v <= 50, "in [1, 50] (finite differencing is O(params))"),
+                tolerance=POSITIVE)
+    p.add_argument("--model", choices=sorted(MODEL_FLAGS), default="attention-ode")
     p.add_argument("--solver", choices=["euler", "rk4"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=cmd_gradcheck, domains={
-        "steps": (lambda v: 1 <= v <= 50, "in [1, 50] (finite differencing is O(params))"),
-        "tolerance": POSITIVE})
-
-    for p in sub.choices.values():  # what _resolve checks config file values against
-        p.set_defaults(config_types={a.dest: a.type or str for a in p._actions})
+    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--tolerance", type=float, default=1e-4)
     return parser
 
 
@@ -464,6 +437,7 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:  # read once, when a subcommand first imports numpy
         os.environ[var] = str(args.threads)
     try:
+        args = _resolve(parser, argv, args)
         code = args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

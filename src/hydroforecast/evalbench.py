@@ -137,6 +137,7 @@ PRESETS = {
               "max_epochs": 30, "timing_repeats": 100},
 }
 
+SUITES = ("task1", "task2", "all")
 TASK1_ROWS = (("mlp", "euler"), ("attention", "euler"), ("mlp", "rk4"),
               ("attention", "rk4"))
 TASK2_ROWS = (("mlp", "euler"), ("attention", "euler"), ("lstm-baseline", "euler"))
@@ -191,7 +192,7 @@ def _bench_one(encoder: str, solver: str, ds: TrajectoryDataset, task: str,
 def run_benchmark(suite: str = "all", preset_name: str = "desk", seed: int = 0,
                   datasets: dict[str, TrajectoryDataset] | None = None,
                   max_epochs: int | None = None, on_row=None) -> BenchmarkTable:
-    if suite not in ("task1", "task2", "all"):
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}")

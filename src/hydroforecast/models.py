@@ -27,10 +27,10 @@ from .autodiff import ShapeError, Tensor
 from .fileio import atomic_write
 from .layers import (LSTMStack, LinearLayer, MLPBlock, MultiHeadSelfAttention,
                      ParamRegistry, collect_params)
-from .odeint import MLPKernel, TimeGrid, integrate
+from .odeint import _STAGES, MLPKernel, TimeGrid, integrate
 
 ENCODERS = ("attention", "mlp", "lstm-baseline")
-SOLVERS = ("euler", "rk4")
+SOLVERS = tuple(_STAGES)
 
 
 @dataclass(frozen=True)

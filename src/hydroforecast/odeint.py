@@ -39,9 +39,6 @@ class TimeGrid:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
-
 
 # A Kernel maps (state [..., f], control [..., latent], t) -> derivative [..., f].
 Kernel = Callable[[Tensor, Tensor, float], Tensor]
@@ -128,11 +125,6 @@ def _update_node(solver: str, state: Tensor, ks: Sequence[Tensor], dt: float) ->
     out = _update(solver, state.data, [k.data for k in ks], dt)
     return Tensor._make(out, (state, *ks), lambda g: (g, *_update_vjp(solver, g, dt)),
                         f"{solver}_update")
-
-
-def _rk4_update(state: Tensor, ks: Sequence[Tensor], dt: float) -> Tensor:
-    """``state + dt/6 * ((k1 + 2 k2) + (2 k3 + k4))`` as one node."""
-    return _update_node("rk4", state, ks, dt)
 
 
 def _step(solver: str, state, field, axpy, update, dt: float):

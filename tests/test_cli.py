@@ -5,13 +5,14 @@ byte determinism."""
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from hydroforecast import cli, evalbench, models
+from hydroforecast import cli, evalbench, hydrodata, models, odeint
 from hydroforecast.models import checkpoint_load, checkpoint_save
 
 CLI = [sys.executable, "-m", "hydroforecast.cli"]
@@ -216,6 +217,72 @@ class TestConfigFile:
         assert not (tmp_path / "o").exists()
 
 
+class TestOnePath:
+    """Settings given as flags and the same settings given in a config file
+    take one path: the echoes are byte-identical, an int in the file for a
+    float flag included."""
+
+    @pytest.mark.parametrize("settings", [
+        ["gen-data", {"task": "1.2", "trajectories": 12, "length": 10, "dt": 0.05,
+                      "seed": 3, "split_seed": 5}],
+        ["train", {"model": "mlp-ode", "solver": "rk4", "lr": 0.01, "batch_size": 8,
+                   "max_epochs": 1, "patience": 2, "grad_clip": 5, "lr_decay": 1,
+                   "preset": "desk", "seed": 2}]], ids=["gen-data", "train"])
+    def test_flags_and_config_file_echo_alike(self, dataset_dir, tmp_path, monkeypatch,
+                                              settings):
+        command, values = settings
+        out = tmp_path / "o"
+        common = [command, "--out", str(out)]
+        if command == "train":
+            common += ["--data", str(dataset_dir)]
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+        assert main_in_process(monkeypatch, *common, *flags) == 0
+        from_flags = (out / "resolved_config.json").read_bytes()
+        shutil.rmtree(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main_in_process(monkeypatch, *common, "--config", str(cfg)) == 0
+        assert (out / "resolved_config.json").read_bytes() == from_flags
+
+
+class TestDeclaredChoices:
+    """The parser's literal choices, kept in cli.py so that building it loads
+    no numpy, match what the library accepts."""
+
+    @staticmethod
+    def choices(command, dest):
+        parser = cli._command_parser(cli.build_parser(), command)
+        (action,) = [a for a in parser._actions if a.dest == dest]
+        return action.choices
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_solvers(self, command):
+        assert tuple(self.choices(command, "solver")) == models.SOLVERS
+        assert models.SOLVERS == tuple(odeint._STAGES)
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_models(self, command):
+        assert self.choices(command, "model") == sorted(cli.MODEL_FLAGS)
+        assert sorted(cli.MODEL_FLAGS.values()) == sorted(models.ENCODERS)
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_presets(self, command):
+        assert sorted(self.choices(command, "preset")) == sorted(evalbench.PRESETS)
+
+    def test_suites(self):
+        assert tuple(self.choices("bench", "suite")) == evalbench.SUITES
+
+    def test_tasks_generate(self):
+        for task in self.choices("gen-data", "task"):
+            ds = hydrodata.generate(task, num_trajectories=2, length=40)
+            assert ds.num_trajectories == 2 and ds.length == 40
+
+    def test_splits(self, dataset_dir):
+        manifest = json.loads((dataset_dir / "manifest.json").read_text())
+        for command in ("predict", "eval"):
+            assert sorted(self.choices(command, "split")) == sorted(manifest["splits"])
+
+
 class TestTrain:
     def test_artifacts(self, checkpoint):
         out = checkpoint.parent
@@ -234,6 +301,15 @@ class TestTrain:
                     "--solver", "rk4", "--out", str(tmp_path / "t"))
         assert r.returncode == 2
         assert "solver" in r.stderr
+
+    def test_lstm_with_solver_in_config_rejected(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "lstm", "solver": "rk4", "max_epochs": 1}))
+        r = run_cli("train", "--data", str(dataset_dir), "--config", str(cfg),
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 2
+        assert "--solver" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "t").exists()
 
     def test_no_splits_in_manifest(self, dataset_dir, tmp_path):
         import shutil
@@ -511,6 +587,14 @@ class TestGradcheck:
         r = run_cli("gradcheck", "--model", "lstm", "--solver", "rk4")
         assert r.returncode == 2
         assert "solver" in r.stderr
+
+    def test_lstm_with_solver_in_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "lstm", "solver": "rk4", "steps": 2}))
+        r = run_cli("gradcheck", "--config", str(cfg))
+        assert r.returncode == 2
+        assert "--solver" in r.stderr and "Traceback" not in r.stderr
+        assert "PASS" not in r.stdout
 
 
 class TestThreads:

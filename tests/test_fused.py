@@ -110,7 +110,9 @@ def unfused_axpy(state, k, h):
     return ad.add(state, ad.scale(k, h))
 
 
-def unfused_rk4_update(state, ks, dt):
+def unfused_update(solver, state, ks, dt):
+    if solver == "euler":
+        return ad.add(state, ad.scale(ks[0], dt))
     k1, k2, k3, k4 = ks
     incr = ad.add(ad.add(k1, ad.scale(k2, 2.0)), ad.add(ad.scale(k3, 2.0), k4))
     return ad.add(state, ad.scale(incr, dt / 6.0))
@@ -472,14 +474,17 @@ class TestSolverNodes:
         self._check(fused, chain, [state, k], seed,
                     lambda: _weighted_sum(odeint._axpy(state, k, h), seed))
 
-    @given(state_cases())
+    @pytest.mark.parametrize("solver", ["euler", "rk4"])
+    @given(case=state_cases())
     @settings(max_examples=30, deadline=None)
-    def test_rk4_update(self, case):
+    def test_update(self, solver, case):
         dt, seed = case[2], case[4]
-        state, *ks = _states(case, 5)
-        fused, chain = odeint._rk4_update(state, ks, dt), unfused_rk4_update(state, ks, dt)
+        stages = len(odeint._STAGES[solver]) + 1
+        state, *ks = _states(case, 1 + stages)
+        fused = odeint._update_node(solver, state, ks, dt)
+        chain = unfused_update(solver, state, ks, dt)
         self._check(fused, chain, [state, *ks], seed,
-                    lambda: _weighted_sum(odeint._rk4_update(state, ks, dt), seed))
+                    lambda: _weighted_sum(odeint._update_node(solver, state, ks, dt), seed))
 
     @given(state_cases())
     @settings(max_examples=30, deadline=None)
@@ -504,7 +509,7 @@ class TestSolverNodes:
         with pytest.raises(ShapeError):
             odeint._axpy(state, Tensor(np.zeros((2, 2))), 0.1)
         with pytest.raises(ShapeError):
-            odeint._rk4_update(state, [state, state, state, Tensor(np.zeros(3))], 0.1)
+            odeint._update_node("rk4", state, [state, state, state, Tensor(np.zeros(3))], 0.1)
 
 
 # ---- the whole solve ------------------------------------------------------------

@@ -24,10 +24,6 @@ def control_kernel(state, control, t):
 
 
 class TestTimeGrid:
-    def test_times(self):
-        grid = TimeGrid(1.0, 0.5, 4)
-        assert np.allclose(grid.times(), [1.0, 1.5, 2.0, 2.5, 3.0])
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, -0.1, 5)
