@@ -21,20 +21,25 @@ a LinearLayer and an MLPBlock on 1-d and 3-d input, an LSTMStack fed one
 unbatched 2-d sequence and a sequence with two batch axes, and a
 MultiHeadSelfAttention on two batch axes at L=200, whose six trajectories
 fill two score tiles, each with its output, parameter and input gradients
-and tape-node count.
+and tape-node count. Training cases run ``train`` end to end: Task 1.2
+attention-Euler and Task 2 attention-RK4 runs that stop early on patience, with
+a validation set, a decaying learning rate, a checkpoint and a log, and a run
+that diverges; each dumps its checkpoint bytes, losses, best epoch, early-stop
+flag or error message, and its log rows without wall_ms.
 
-Forecasts, attention weights, checkpoint files, dataset files and arrays,
-report files and prediction CSVs must be byte-identical. Parameter gradients
-and adjoint outputs may differ by float64 round-off from a reordered summation
-(a fused op adds a bias gradient's terms in another order, and an LSTM layer on
-two batch axes sums its per-step weight gradients as batched matmuls): at most
-1e-14 times the array's largest magnitude, or 1e-14 absolute where that is
-below 1. Tape-node counts may fall but must not rise.
+Forecasts, attention weights, checkpoint files, training results, dataset
+files and arrays, report files and prediction CSVs must be byte-identical.
+Parameter gradients and adjoint outputs may differ by float64 round-off from a
+reordered summation (a fused op adds a bias gradient's terms in another order,
+and an LSTM layer on two batch axes sums its per-step weight gradients as
+batched matmuls): at most 1e-14 times the array's largest magnitude, or 1e-14
+absolute where that is below 1. Tape-node counts may fall but must not rise.
 
     python scripts/compare_numerics.py --base path/to/old/src --head src
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -147,6 +152,49 @@ def _taped_cases(hf, out):
                     out[f"{key}/grad/{name}"] = t.grad
 
 
+def _train_cases(hf, out, tmp):
+    """``train`` end to end at small widths: Task 1.2 attention-Euler and Task 2
+    attention-RK4, each with a validation set, lr_decay 0.9 and a patience that
+    stops the run early, and a Task 1.2 run whose huge learning rate, with no
+    clipping and no validation set, diverges in its second epoch. Each dumps the
+    checkpoint bytes and the log rows without ``wall_ms``; a finished run also
+    its losses, best epoch and early stop, a diverged one its error message."""
+    tr = hf.training
+    cases = (("1.2-euler", "1.2", "euler", {}, True,
+              {"learning_rate": 3e-2, "batch_size": 4}),
+             ("2-rk4", "2", "rk4", {"length": 80}, True,
+              {"learning_rate": 0.1, "batch_size": 2}),
+             ("1.2-euler-diverged", "1.2", "euler", {}, False,
+              {"learning_rate": 1e200, "grad_clip_norm": 1e300}))
+    for name, task, solver, kwargs, with_val, train_kwargs in cases:
+        key = f"train/{name}"
+        ds = hf.hydrodata.generate(task, seed=0, num_trajectories=8, **kwargs)
+        model = hf.models.build_model(hf.models.ModelConfig(
+            encoder="attention", solver=solver, n_in=ds.n, f_out=ds.f, dt=ds.dt,
+            d_model=8, heads=2, latent=8, kernel_hidden=(8,)))
+        model.fit_normalizer(ds)
+        cfg = tr.TrainConfig(max_epochs=30, early_stop_patience=2, lr_decay=0.9, seed=0,
+                             **train_kwargs)
+        ckpt, log = Path(tmp, f"{name}.ckpt"), Path(tmp, f"{name}.jsonl")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = tr.train(model, ds.subset(list(range(6))),
+                                  ds.subset([6, 7]) if with_val else None, cfg,
+                                  checkpoint_path=ckpt, log_path=log)
+        except tr.DivergenceError as e:
+            out[f"{key}/error"] = np.frombuffer(str(e).encode(), np.uint8)
+        else:
+            out[f"{key}/train_losses"] = np.array(report.train_losses)
+            out[f"{key}/val_losses"] = np.array(report.val_losses)
+            out[f"{key}/best"] = np.array([report.best_epoch, report.best_val_loss,
+                                           report.stopped_early])
+        out[f"{key}/checkpoint"] = np.frombuffer(ckpt.read_bytes(), np.uint8)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        out[f"{key}/log"] = np.frombuffer(json.dumps(
+            [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]).encode(),
+            np.uint8)
+
+
 def _layer_cases(hf, out):
     Tensor, ad, layers = hf.autodiff.Tensor, hf.autodiff, hf.layers
     rng = np.random.default_rng(11)
@@ -214,6 +262,7 @@ def dump(path) -> None:
                                         f_out=ds.f, dt=ds.dt)
             _model_case(hf, out, f"2-L400/attention/{solver}/fitted", ds, cfg, True, tmp)
         _taped_cases(hf, out)
+        _train_cases(hf, out, tmp)
         _layer_cases(hf, out)
         ev = hf.evalbench
         table = ev.BenchmarkTable(

@@ -5,6 +5,7 @@ a patience counter. The best-validation parameters are what a run returns.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -65,7 +66,6 @@ class TrainReport:
     wall_seconds: float
     checkpoint_path: str | None = None
     stopped_early: bool = False
-    diverged: bool = False
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -84,6 +84,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 def adam_step(model: ForecastModel, grads: dict[str, np.ndarray], state: AdamState,
               cfg: TrainConfig, lr: float | None = None) -> None:
+    """One Adam step on the parameters named in ``grads``; the others stay."""
     if lr is None:
         lr = cfg.learning_rate
     for name, g in grads.items():
@@ -92,21 +93,13 @@ def adam_step(model: ForecastModel, grads: dict[str, np.ndarray], state: AdamSta
     grads = clip_gradients(grads, cfg.grad_clip_norm)
     state.step += 1
     t = state.step
-    for name, tensor in model.params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(tensor.data)
-            v = np.zeros_like(tensor.data)
-        m = BETA1 * m + (1 - BETA1) * g
-        v = BETA2 * v + (1 - BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
+    for name, g in grads.items():
+        m = BETA1 * state.m.get(name, 0.0) + (1 - BETA1) * g
+        v = BETA2 * state.v.get(name, 0.0) + (1 - BETA2) * g * g
+        state.m[name], state.v[name] = m, v
         m_hat = m / (1 - BETA1 ** t)
         v_hat = v / (1 - BETA2 ** t)
+        tensor = model.params[name]
         tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
@@ -145,12 +138,12 @@ def evaluate_loss(model: ForecastModel, ds: TrajectoryDataset,
 
 def train(model: ForecastModel, train_set: TrajectoryDataset,
           val_set: TrajectoryDataset | None, cfg: TrainConfig,
-          checkpoint_path=None, log_path=None,
-          stop_below_train_loss: float | None = None) -> TrainReport:
+          checkpoint_path=None, log_path=None) -> TrainReport:
     """Run the full loop; restores the best-validation parameters at the end.
 
-    ``stop_below_train_loss`` stops as soon as a batch loss drops under the
-    given value (used by overfitting checks).
+    An epoch whose validation loss (the training loss when there is no
+    validation set) is below the best so far is the new best. The run stops
+    after ``cfg.early_stop_patience`` epochs in a row without a new best.
     """
     if train_set.num_trajectories == 0:
         raise ValueError("empty training set")
@@ -163,75 +156,48 @@ def train(model: ForecastModel, train_set: TrajectoryDataset,
                          f"{model.config.f_out}")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
-    best_val = math.inf
-    best_epoch = -1
-    best_params: dict[str, np.ndarray] = {n: t.data.copy() for n, t in model.params.items()}
-    patience = 0
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    log_fh = open(log_path, "w") if log_path else None
+    report = TrainReport(train_losses=[], val_losses=[], best_epoch=-1,
+                         best_val_loss=math.inf, wall_seconds=0.0,
+                         checkpoint_path=str(checkpoint_path) if checkpoint_path else None)
+    best_params = {n: t.data.copy() for n, t in model.params.items()}
+    divergence = None
     start = time.perf_counter()
-    diverged = False
-    stopped_early = False
     try:
-        for epoch in range(cfg.max_epochs):
-            lr_epoch = cfg.learning_rate * cfg.lr_decay ** epoch
-            order = rng.permutation(len(x_all))
-            epoch_loss, seen = 0.0, 0
-            stop_now = False
-            for lo in range(0, len(order), cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                value = _train_step(model, x_all[idx], forces_all[idx], f0_all[idx], state,
-                                    cfg, lr_epoch, epoch)
-                epoch_loss += value * len(idx)
-                seen += len(idx)
-                if stop_below_train_loss is not None and value < stop_below_train_loss:
-                    stop_now = True
-                    break
-            train_loss = epoch_loss / max(seen, 1)
-            train_losses.append(train_loss)
-            val_loss = (evaluate_loss(model, val_set, cfg.batch_size)
-                        if val_set is not None and val_set.num_trajectories
-                        else train_loss)
-            val_losses.append(val_loss)
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            if log_fh:
-                log_fh.write(json.dumps({"epoch": epoch, "train_loss": train_loss,
-                                         "val_loss": val_loss, "wall_ms": wall_ms,
-                                         "lr": lr_epoch}) + "\n")
-                log_fh.flush()
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_params = {n: t.data.copy() for n, t in model.params.items()}
-                patience = 0
-            else:
-                patience += 1
-            if stop_now:
-                stopped_early = True
-                if val_loss <= best_val:
-                    best_val, best_epoch = val_loss, epoch
+        with open(log_path, "w") if log_path else contextlib.nullcontext() as log_fh:
+            for epoch in range(cfg.max_epochs):
+                lr_epoch = cfg.learning_rate * cfg.lr_decay ** epoch
+                order = rng.permutation(len(x_all))
+                epoch_loss = 0.0
+                for lo in range(0, len(order), cfg.batch_size):
+                    idx = order[lo:lo + cfg.batch_size]
+                    epoch_loss += _train_step(model, x_all[idx], forces_all[idx], f0_all[idx],
+                                              state, cfg, lr_epoch, epoch) * len(idx)
+                train_loss = epoch_loss / len(order)
+                val_loss = (evaluate_loss(model, val_set, cfg.batch_size)
+                            if val_set is not None and val_set.num_trajectories
+                            else train_loss)
+                report.train_losses.append(train_loss)
+                report.val_losses.append(val_loss)
+                if log_fh:
+                    log_fh.write(json.dumps({
+                        "epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
+                        "wall_ms": (time.perf_counter() - start) * 1000.0,
+                        "lr": lr_epoch}) + "\n")
+                    log_fh.flush()
+                if val_loss < report.best_val_loss:
+                    report.best_val_loss, report.best_epoch = val_loss, epoch
                     best_params = {n: t.data.copy() for n, t in model.params.items()}
-                break
-            if patience >= cfg.early_stop_patience:
-                stopped_early = True
-                break
+                elif epoch - report.best_epoch >= cfg.early_stop_patience:
+                    report.stopped_early = True
+                    break
     except DivergenceError as e:
-        diverged = True
         divergence = e
-    finally:
-        if log_fh:
-            log_fh.close()
     for name, tensor in model.params.items():
         tensor.data = best_params[name]
     if checkpoint_path is not None:
         checkpoint_save(model, checkpoint_path)
-    report = TrainReport(train_losses=train_losses, val_losses=val_losses,
-                         best_epoch=best_epoch, best_val_loss=best_val,
-                         wall_seconds=time.perf_counter() - start,
-                         checkpoint_path=str(checkpoint_path) if checkpoint_path else None,
-                         stopped_early=stopped_early, diverged=diverged)
-    if diverged:
+    report.wall_seconds = time.perf_counter() - start
+    if divergence is not None:
         raise DivergenceError(f"{divergence}; best checkpoint retained from epoch "
-                              f"{best_epoch}")
+                              f"{report.best_epoch}")
     return report

@@ -110,6 +110,16 @@ class TestAdam:
             adam_step(model, grads, state, cfg)
         assert np.max(np.abs(model.params[name].data)) < 0.5
 
+    def test_partial_gradients(self):
+        model = build_model(TINY)
+        before = {n: t.data.copy() for n, t in model.params.items()}
+        name = "kernel.layer0.weight"
+        state = AdamState()
+        adam_step(model, {name: np.ones_like(before[name])}, state, TrainConfig())
+        assert set(state.m) == set(state.v) == {name}
+        assert not np.array_equal(model.params[name].data, before[name])
+        assert all(np.array_equal(model.params[n].data, before[n]) for n in before if n != name)
+
     def test_lr_decay_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr_decay=0.0)
@@ -204,15 +214,24 @@ class TestTrainLoop:
         report = train(model, small_data.subset(list(range(6))), val, cfg)
         assert evaluate_loss(model, val) == pytest.approx(report.best_val_loss, rel=1e-9)
 
-    def test_stop_below_train_loss(self, small_data):
+    def test_patience_stop_restores_best(self, small_data, tmp_path):
         model = build_model(TINY)
         model.fit_normalizer(small_data)
-        cfg = TrainConfig(learning_rate=3e-3, max_epochs=500, grad_clip_norm=1e9,
-                          early_stop_patience=500, seed=0)
-        report = train(model, small_data.subset([0]), None, cfg,
-                       stop_below_train_loss=1e9)
+        # a high learning rate overshoots: the validation loss falls, then rises
+        cfg = TrainConfig(learning_rate=0.1, batch_size=2, max_epochs=60, grad_clip_norm=1e9,
+                          early_stop_patience=3, seed=0)
+        val = small_data.subset([0, 1])
+        path = tmp_path / "best.ckpt"
+        report = train(model, small_data.subset(list(range(2, 8))), val, cfg,
+                       checkpoint_path=path)
         assert report.stopped_early
-        assert len(report.train_losses) == 1
+        assert 0 < report.best_epoch
+        assert len(report.train_losses) == report.best_epoch + cfg.early_stop_patience + 1
+        assert report.val_losses[-1] > report.best_val_loss
+        assert evaluate_loss(model, val, cfg.batch_size) == report.best_val_loss
+        loaded = checkpoint_load(path)
+        assert all(np.array_equal(loaded.params[n].data, t.data)
+                   for n, t in model.params.items())
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_keeps_best(self, small_data, tmp_path):
