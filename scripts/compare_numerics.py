@@ -4,8 +4,8 @@
 Each tree runs in its own interpreter and dumps a fixed set of results:
 forecasts, every parameter gradient and the tape-node count of an MSE loss,
 adjoint kernel gradients and dL/dF0, attention weights, the raw bytes of each
-model's saved checkpoint, the raw bytes of every dataset file written
-(trajectory .npy files and manifest.json), the datasets read back from disk,
+model's saved checkpoint, the raw bytes of every dataset file written (the
+one trajectories_<crc32>.npy table and manifest.json), the datasets read back,
 benchmark report files, and prediction CSVs. Datasets cover Tasks 1.1
 (static, towed from rest), 1.2, 1.3 (noise injection) and 2. The model cases
 are the attention, mlp and lstm encoders x euler and rk4 x fitted and

@@ -534,41 +534,18 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
 # ---- reductions ----------------------------------------------------------
 
 
-def _norm_axes(axes, ndim) -> tuple[int, ...] | None:
-    if axes is None:
-        return None
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = []
-    for ax in axes:
-        if not -ndim <= ax < ndim:
-            raise ShapeError(f"reduce: axis {ax} invalid for ndim {ndim}")
-        out.append(ax % ndim)
-    return tuple(sorted(set(out)))
-
-
-def reduce_sum(a: Tensor, axes=None) -> Tensor:
-    axes = _norm_axes(axes, a.ndim)
-    out = a.data.sum(axis=axes)
-
+def reduce_sum(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     def vjp(g):
-        if axes is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g_exp = np.expand_dims(g, axes)
-        return (np.broadcast_to(g_exp, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return Tensor._make(np.asarray(out, dtype=np.float64), (a,), vjp, "sum")
+    return Tensor._make(np.asarray(a.data.sum(), dtype=np.float64), (a,), vjp, "sum")
 
 
-def reduce_mean(a: Tensor, axes=None) -> Tensor:
-    naxes = _norm_axes(axes, a.ndim)
-    if naxes is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in naxes]))
-    if count == 0:
-        raise ShapeError("reduce: mean over an empty axis slice")
-    return scale(reduce_sum(a, axes), 1.0 / count)
+def reduce_mean(a: Tensor) -> Tensor:
+    if a.size == 0:
+        raise ShapeError("reduce: mean of an empty tensor")
+    return scale(reduce_sum(a), 1.0 / a.size)
 
 
 # ---- structural ----------------------------------------------------------

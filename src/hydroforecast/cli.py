@@ -181,11 +181,15 @@ def _load_dataset_or_die(path):
         raise CliError(f"invalid dataset at {path}: {e}", EXIT_CORRUPT)
 
 
-def _split_subsets(ds):
+def _split(ds, name: str, allow_empty: bool = False):
     if not ds.splits:
         raise CliError("dataset manifest has no 'splits' field; regenerate with gen-data",
                        EXIT_USAGE)
-    return {name: ds.subset(ids) for name, ids in ds.splits.items()}
+    if name not in ds.splits:
+        raise CliError(f"manifest 'splits' has no {name!r} entry")
+    if not (ds.splits[name] or allow_empty):
+        raise CliError(f"manifest 'splits' has an empty {name!r} entry")
+    return ds.subset(ds.splits[name])
 
 
 def _resolve_solver(args) -> None:
@@ -206,10 +210,10 @@ def cmd_train(args) -> int:
         raise CliError("--data is required")
     out = _require_out(args)
     ds = _load_dataset_or_die(args.data)
-    subsets = _split_subsets(ds)
+    train_set, val_set = _split(ds, "train"), _split(ds, "val", allow_empty=True)
     model = build_model(evalbench.preset_config(
         evalbench.PRESETS[args.preset], MODEL_FLAGS[args.model], args.solver, ds, args.seed))
-    model.fit_normalizer(subsets["train"])
+    model.fit_normalizer(train_set)
     train_cfg = tr.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                                max_epochs=args.max_epochs,
                                early_stop_patience=args.patience,
@@ -218,7 +222,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args.command, vars(args))
     try:
-        report = tr.train(model, subsets["train"], subsets["val"], train_cfg,
+        report = tr.train(model, train_set, val_set, train_cfg,
                           checkpoint_path=out / "model.ckpt",
                           log_path=out / "train_log.jsonl")
     except tr.DivergenceError as e:
@@ -272,11 +276,7 @@ def cmd_predict(args) -> int:
         raise CliError("--checkpoint and --data are required")
     out = _require_out(args)
     model = _load_model_or_die(args.checkpoint)
-    ds = _load_dataset_or_die(args.data)
-    subsets = _split_subsets(ds)
-    if args.split not in subsets:
-        raise CliError(f"manifest 'splits' has no {args.split!r} entry")
-    subset = subsets[args.split]
+    subset = _split(_load_dataset_or_die(args.data), args.split)
     x, forces, f0, pred = _predict_split(model, subset)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -381,32 +383,27 @@ def split_dataset(ds: TrajectoryDataset, ratios: tuple[float, float, float] = (0
 # ---- disk format ---------------------------------------------------------
 
 
-def save_dataset(ds: TrajectoryDataset, outdir) -> None:
-    """Write ``manifest.json`` and one ``traj_XXXX.npy`` per trajectory.
+def _table_name(table: np.ndarray) -> str:
+    """The file name of a dataset table: the CRC32 of its data, in C order."""
+    return f"trajectories_{zlib.crc32(np.ascontiguousarray(table)):08x}.npy"
 
-    Each ``.npy`` file holds a float64 table of shape [L, 2+n+f] whose columns
-    are t, x_0..x_{n-1}, F_0..F_{f-1} and cond_id, so the values read back
-    bit for bit. The manifest names the files and holds each f0.
+
+def save_dataset(ds: TrajectoryDataset, outdir) -> None:
+    """Write one float64 [M, L, 2+n+f] table, then ``manifest.json``.
+
+    A row's columns are t, x_0..x_{n-1}, F_0..F_{f-1} and cond_id, so the
+    values read back bit for bit. The table is named by the CRC32 of its data,
+    so the live manifest's table is never overwritten by other data; the new
+    manifest, which names the table and holds f0 and the directions, replaces
+    the old one in one step, so a save cut short leaves the old dataset whole.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    traj_meta = []
-    for j, rec in enumerate(ds.records):
-        name = f"traj_{j:04d}.npy"
-        table = np.column_stack([rec.times, rec.conditions, rec.forces, rec.condition_ids])
-        with atomic_write(out / name, "wb") as fh:
-            np.save(fh, table, allow_pickle=False)
-            if j == 0:
-                # the old manifest goes after the first new file is written and
-                # before it replaces an old one: a save cut short later leaves
-                # no manifest, so load_dataset never sees old and new files
-                # mixed; a save that fails sooner leaves the old dataset whole
-                fh.flush()
-                (out / "manifest.json").unlink(missing_ok=True)
-        entry = {"file": name, "f0": [float(v) for v in rec.f0]}
-        if rec.direction is not None:
-            entry["direction"] = rec.direction
-        traj_meta.append(entry)
+    table = np.stack([np.column_stack([r.times, r.conditions, r.forces, r.condition_ids])
+                      for r in ds.records])
+    name = _table_name(table)
+    with atomic_write(out / name, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
     manifest = {
         "task": ds.task,
         "variant": ds.variant,
@@ -419,15 +416,21 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
         "noise_fraction": ds.noise_fraction,
         "oracle_params": ds.oracle.to_dict(),
         "splits": ds.splits,
-        "trajectories": traj_meta,
+        "table": name,
+        "f0": [[float(v) for v in r.f0] for r in ds.records],
+        "directions": ([r.direction for r in ds.records]
+                       if ds.records[0].direction is not None else None),
     }
     with atomic_write(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for old in out.glob("trajectories_*.npy"):
+        if old.name != name:
+            old.unlink()
 
 
 def _check_manifest(manifest, path: Path) -> None:
-    """Refuse a manifest whose sizes, dt or trajectory list are malformed,
-    before any table is read or sized from them."""
+    """Refuse a manifest whose sizes, dt, table name or directions are
+    malformed, before any table is read or sized from them."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path} is not a JSON object")
     for key in ("n", "f", "L", "num_trajectories"):
@@ -437,19 +440,25 @@ def _check_manifest(manifest, path: Path) -> None:
     dt = manifest.get("dt")
     if type(dt) not in (int, float) or not 0 < dt < float("inf"):
         raise ValueError(f"{path}: dt must be a finite number above 0 (got {dt!r})")
-    if not isinstance(manifest.get("trajectories"), list):
-        raise ValueError(f"{path}: trajectories is not a list")
+    table = manifest.get("table")
+    if type(table) is not str or not re.fullmatch(r"trajectories_[0-9a-f]{8}\.npy", table):
+        raise ValueError(f"{path}: table {table!r} is not a trajectories_<8 hex>.npy name")
+    dirs = manifest.get("directions")
+    if dirs is not None and (not isinstance(dirs, list)
+                             or [type(d) for d in dirs] != [str] * manifest["num_trajectories"]):
+        raise ValueError(f"{path}: directions must be null or one string per trajectory")
 
 
 def load_dataset(indir) -> TrajectoryDataset:
     """Read a dataset that ``save_dataset`` wrote.
 
-    A missing manifest or trajectory file raises ``FileNotFoundError``. Any
-    other fault raises ``ValueError`` naming the file: a trajectory file that
-    is not a finite float64 [L, 2+n+f] ``.npy`` table with integer cond_ids
-    (an empty or truncated file, a CSV, another dtype, or an object array,
-    which is never unpickled), or a manifest that is not a JSON object, or
-    whose n, f, L, num_trajectories, dt, trajectories, f0 or splits is malformed.
+    A missing manifest or table raises ``FileNotFoundError``. Any other fault
+    raises ``ValueError`` naming the file: a table that is not a finite
+    float64 [M, L, 2+n+f] ``.npy`` array with integer cond_ids and the CRC32
+    of its name (an empty or truncated file, a CSV, another dtype, or an
+    object array, which is never unpickled), or a manifest that is not a JSON
+    object, or whose sizes, dt, table, f0, directions, oracle_params or splits
+    are malformed.
     """
     root = Path(indir)
     manifest_path = root / "manifest.json"
@@ -457,43 +466,35 @@ def load_dataset(indir) -> TrajectoryDataset:
         raise FileNotFoundError(f"no manifest.json in {root}")
     manifest = json.loads(manifest_path.read_text())
     _check_manifest(manifest, manifest_path)
-    records = []
-    if len(manifest["trajectories"]) != manifest["num_trajectories"]:
-        raise ValueError("manifest trajectory count does not match its own listing")
-    for entry in manifest["trajectories"]:
-        path = root / entry["file"]
-        if not path.exists():
-            raise FileNotFoundError(f"manifest lists missing trajectory file {path}")
-        n, f = manifest["n"], manifest["f"]
-        try:
-            with open(path, "rb") as fh:
-                np.lib.format.read_magic(fh)  # so a CSV is refused as such, not as a pickle
-                fh.seek(0)
-                raw = np.load(fh, allow_pickle=False)
-        except (ValueError, MemoryError) as e:  # MemoryError: a header claiming a huge shape
-            raise ValueError(f"trajectory file {path} is not a readable .npy file: "
-                             f"{e}") from None
-        if (raw.dtype != np.float64 or raw.shape != (manifest["L"], 2 + n + f)
-                or not np.all(np.isfinite(raw))):
-            raise ValueError(f"trajectory file {path} is not a finite float64 "
-                             f"{manifest['L']}x{2 + n + f} table (got {raw.dtype} "
-                             f"{raw.shape})")
-        if np.any(raw[:, -1] != np.trunc(raw[:, -1])):
-            raise ValueError(f"trajectory file {path} has a cond_id that is not an integer")
-        try:
-            f0 = np.asarray(entry["f0"], dtype=np.float64)
-        except (TypeError, ValueError):
-            f0 = None
-        if f0 is None or f0.shape != (f,) or not np.all(np.isfinite(f0)):
-            raise ValueError(f"manifest f0 of trajectory {entry['file']} is not a finite "
-                             f"vector of length {f} (got {entry['f0']!r})")
-        records.append(TrajectoryRecord(
-            times=raw[:, 0].copy(),
-            conditions=raw[:, 1:1 + n].copy(),
-            forces=raw[:, 1 + n:1 + n + f].copy(),
-            f0=f0,
-            condition_ids=raw[:, -1].astype(np.int64),
-            direction=entry.get("direction")))
+    m, n, f, length = (manifest[k] for k in ("num_trajectories", "n", "f", "L"))
+    path = root / manifest["table"]
+    try:
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)  # so a CSV is refused as such, not as a pickle
+            fh.seek(0)
+            table = np.load(fh, allow_pickle=False)
+    except (ValueError, MemoryError) as e:  # MemoryError: a header claiming a huge shape
+        raise ValueError(f"table {path} is not a readable .npy file: {e}") from None
+    if (table.dtype != np.float64 or table.shape != (m, length, 2 + n + f)
+            or not np.all(np.isfinite(table))):
+        raise ValueError(f"table {path} is not a finite float64 {m}x{length}x{2 + n + f} "
+                         f"array (got {table.dtype} {table.shape})")
+    if _table_name(table) != path.name:
+        raise ValueError(f"table {path}: its data does not match the CRC32 in its name")
+    if np.any(table[..., -1] != np.trunc(table[..., -1])):
+        raise ValueError(f"table {path} has a cond_id that is not an integer")
+    try:
+        f0 = np.asarray(manifest.get("f0"), dtype=np.float64)
+        oracle = OracleParams.from_dict(manifest["oracle_params"])
+    except (TypeError, KeyError, ValueError) as e:
+        raise ValueError(f"{manifest_path}: f0 or oracle_params is malformed: {e!r}") from None
+    if f0.shape != (m, f) or not np.all(np.isfinite(f0)):
+        raise ValueError(f"{manifest_path}: f0 is not a finite {m}x{f} array")
+    times, x, forces = (np.ascontiguousarray(table[..., c])
+                        for c in (0, slice(1, 1 + n), slice(1 + n, -1)))
+    directions = manifest.get("directions") or [None] * m
+    records = [TrajectoryRecord(*fields) for fields in zip(
+        times, x, forces, f0, table[..., -1].astype(np.int64), directions)]
     splits = manifest.get("splits")
     try:
         listed = [i for ids in (splits or {}).values() for i in ids]
@@ -501,13 +502,12 @@ def load_dataset(indir) -> TrajectoryDataset:
         raise ValueError(f"{manifest_path}: splits is not a map of index lists") from None
     seen: set[int] = set()
     for i in listed:
-        if type(i) is not int or not 0 <= i < len(records) or i in seen:
+        if type(i) is not int or not 0 <= i < m or i in seen:
             raise ValueError(f"{manifest_path}: split index {i!r} is not an integer in "
-                             f"[0, {len(records)}) or is listed more than once")
+                             f"[0, {m}) or is listed more than once")
         seen.add(i)
     return TrajectoryDataset(
-        task=manifest["task"], variant=manifest["variant"], n=manifest["n"],
-        f=manifest["f"], length=manifest["L"], dt=manifest["dt"],
-        seed=manifest["seed"], noise_fraction=manifest["noise_fraction"],
-        oracle=OracleParams.from_dict(manifest["oracle_params"]),
+        task=manifest["task"], variant=manifest["variant"], n=n, f=f, length=length,
+        dt=manifest["dt"], seed=manifest["seed"],
+        noise_fraction=manifest["noise_fraction"], oracle=oracle,
         records=records, splits=splits)

@@ -85,17 +85,9 @@ class TestReduce:
     def test_mean(self):
         assert ad.reduce_mean(Tensor([3.0, 5.0])).item() == 4.0
 
-    def test_sum_axis0(self):
-        out = ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), axes=0)
-        assert np.array_equal(out.data, [4.0, 6.0])
-
-    def test_invalid_axis(self):
-        with pytest.raises(ShapeError):
-            ad.reduce_sum(Tensor([1.0]), axes=3)
-
     def test_mean_empty_slice(self):
         with pytest.raises(ShapeError):
-            ad.reduce_mean(Tensor(np.zeros((0, 2))), axes=0)
+            ad.reduce_mean(Tensor(np.zeros((0, 2))))
 
 
 class TestStructural:

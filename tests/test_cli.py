@@ -3,6 +3,7 @@ console entry point, covering exit codes, artifact layout, and run-to-run
 byte determinism."""
 
 import filecmp
+import io
 import json
 import os
 import shutil
@@ -55,6 +56,16 @@ def flag_or_config(tmp_path, flag, value, source):
     return ["--config", str(cfg)]
 
 
+def edited_copy(dataset_dir, tmp_path, edit):
+    """A copy of ``dataset_dir`` whose manifest ``edit`` changed in place."""
+    copy = tmp_path / "broken"
+    shutil.copytree(dataset_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    edit(manifest)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "task11"
@@ -80,7 +91,7 @@ class TestGenData:
         assert manifest["n"] == 4 and manifest["f"] == 2 and manifest["L"] == 30
         assert manifest["num_trajectories"] == 24
         assert set(manifest["splits"]) == {"train", "val", "test"}
-        assert (dataset_dir / "traj_0000.npy").exists()
+        assert [p.name for p in dataset_dir.glob("trajectories_*.npy")] == [manifest["table"]]
         assert (dataset_dir / "resolved_config.json").exists()
 
     def test_resolved_config_echo(self, dataset_dir):
@@ -342,42 +353,86 @@ class TestTrain:
         assert r.returncode == 2
         assert "splits" in r.stderr
 
-    def test_truncated_trajectory_exit_5(self, dataset_dir, tmp_path):
-        import shutil
+    def test_truncated_trajectory_exit_5(self, dataset_dir, tmp_path, reseal_table):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        path = broken / "traj_0003.npy"
-        path.write_bytes(path.read_bytes()[:-8 * 8 * 10])  # the last ten rows of 8 columns
+        # the last ten rows of 8 columns
+        path = reseal_table(broken, lambda body, table: body[:-8 * 8 * 10])
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 5
-        assert "traj_0003.npy" in r.stderr and "Traceback" not in r.stderr
+        assert path.name in r.stderr and "Traceback" not in r.stderr
 
-    def test_unreadable_trajectory_exit_3(self, dataset_dir, tmp_path):
-        import shutil
+    def test_flipped_byte_exit_5(self, dataset_dir, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        (broken / "traj_0002.npy").unlink()
-        (broken / "traj_0002.npy").mkdir()  # open() fails with an OSError
+        (path,) = broken.glob("trajectories_*.npy")
+        body = bytearray(path.read_bytes())
+        body[-100] ^= 1
+        path.write_bytes(bytes(body))
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert path.name in r.stderr and "Traceback" not in r.stderr
+
+    def test_unreadable_trajectory_exit_3(self, dataset_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        (path,) = broken.glob("trajectories_*.npy")
+        path.unlink()
+        path.mkdir()  # open() fails with an OSError
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 3
-        assert "traj_0002.npy" in r.stderr and "Traceback" not in r.stderr
+        assert path.name in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("f0", [[1.0, 2.0, 3.0], [1.0, float("nan")]],
                              ids=["three_values", "nan"])
     def test_bad_manifest_f0_exit_5(self, dataset_dir, tmp_path, f0):
-        import shutil
-        broken = tmp_path / "broken"
-        shutil.copytree(dataset_dir, broken)
-        manifest = json.loads((broken / "manifest.json").read_text())
-        manifest["trajectories"][0]["f0"] = f0
-        (broken / "manifest.json").write_text(json.dumps(manifest))
+        broken = edited_copy(dataset_dir, tmp_path, lambda m: m.update(f0=[f0] + m["f0"][1:]))
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 5
-        assert manifest["trajectories"][0]["file"] in r.stderr
-        assert "Traceback" not in r.stderr
+        assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("edit", [None, {"cd": 5}, {"rho": "x"}],
+                             ids=["null", "cd_number", "rho_text"])
+    def test_bad_oracle_params_exit_5(self, dataset_dir, tmp_path, edit):
+        def change(manifest):
+            if edit is None:
+                manifest["oracle_params"] = None
+            else:
+                manifest["oracle_params"].update(edit)
+
+        broken = edited_copy(dataset_dir, tmp_path, change)
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 5
+        assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("name, ids", [("train", []), ("train", None), ("val", None)],
+                             ids=["empty_train", "no_train", "no_val"])
+    def test_unusable_split_exit_2(self, dataset_dir, tmp_path, name, ids):
+        def change(manifest):
+            if ids is None:
+                del manifest["splits"][name]
+            else:
+                manifest["splits"][name] = ids
+
+        broken = edited_copy(dataset_dir, tmp_path, change)
+        r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
+                    "--out", str(tmp_path / "t"))
+        assert r.returncode == 2
+        assert repr(name) in r.stderr and "Traceback" not in r.stderr
+
+    def test_empty_val_split_trains_on_train_loss(self, dataset_dir, tmp_path):
+        broken = edited_copy(dataset_dir, tmp_path, lambda m: m["splits"].update(val=[]))
+        r = run_cli("train", "--data", str(broken), "--model", "mlp-ode",
+                    "--max-epochs", "2", "--out", str(tmp_path / "t"))
+        assert r.returncode == 0, r.stderr
+        rows = [json.loads(l) for l in (tmp_path / "t" / "train_log.jsonl").read_text()
+                .splitlines()]
+        assert [row["val_loss"] for row in rows] == [row["train_loss"] for row in rows]
 
     @pytest.mark.parametrize("edit", ["out_of_range", "negative", "in_two_splits",
                                       "not_integer"])
@@ -414,18 +469,21 @@ class TestTrain:
         assert r.returncode == 5
         assert "manifest.json" in r.stderr and "Traceback" not in r.stderr
 
-    def test_fractional_cond_id_exit_5(self, dataset_dir, tmp_path):
-        import shutil
+    def test_fractional_cond_id_exit_5(self, dataset_dir, tmp_path, reseal_table):
         broken = tmp_path / "broken"
         shutil.copytree(dataset_dir, broken)
-        path = broken / "traj_0000.npy"
-        table = np.load(path)
-        table[0, -1] = 3.7
-        np.save(path, table, allow_pickle=False)
+
+        def fractional(body, table):
+            table[0, 0, -1] = 3.7
+            buf = io.BytesIO()
+            np.save(buf, table, allow_pickle=False)
+            return buf.getvalue()
+
+        path = reseal_table(broken, fractional)
         r = run_cli("train", "--data", str(broken), "--max-epochs", "1",
                     "--out", str(tmp_path / "t"))
         assert r.returncode == 5
-        assert "traj_0000.npy" in r.stderr and "Traceback" not in r.stderr
+        assert path.name in r.stderr and "Traceback" not in r.stderr
 
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
@@ -547,6 +605,14 @@ class TestPredictEval:
         assert r.returncode == 5
         assert "corrupt" in r.stderr.lower() and "heads" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_empty_split_exit_2(self, checkpoint, dataset_dir, tmp_path):
+        broken = edited_copy(dataset_dir, tmp_path, lambda m: m["splits"].update(test=[]))
+        r = run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(broken),
+                    "--split", "test", "--out", str(tmp_path / "e"))
+        assert r.returncode == 2
+        assert "'test'" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "e").exists()
 
     def test_missing_checkpoint_exit_3(self, dataset_dir, tmp_path):
         r = run_cli("predict", "--checkpoint", str(tmp_path / "none.ckpt"),

@@ -2,12 +2,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pickle
+import zlib
 
 import numpy as np
 import pytest
 
-from hydroforecast import hydrodata
 from hydroforecast.hydrodata import (
     OracleParams,
     TowingCondition,
@@ -24,9 +25,9 @@ from hydroforecast.hydrodata import (
 )
 
 
-def _npy_bytes(array):
+def _npy_bytes(array, allow_pickle=False):
     buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
+    np.save(buf, array, allow_pickle=allow_pickle)
     return buf.getvalue()
 
 
@@ -393,19 +394,34 @@ class TestDiskFormat:
         ds = gen_task1("static", num_conditions=3, seed=4)
         save_dataset(ds, tmp_path / "a")
         save_dataset(ds, tmp_path / "b")
-        for name in ["manifest.json", "traj_0000.npy"]:
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_table_layout(self, tmp_path):
-        ds = gen_task1("switching", num_conditions=1)
+        ds = gen_task1("switching", num_conditions=2)
         save_dataset(ds, tmp_path)
-        table = np.load(tmp_path / "traj_0000.npy", allow_pickle=False)
-        rec = ds.records[0]
-        assert table.dtype == np.float64 and table.shape == (ds.length, 2 + ds.n + ds.f)
-        assert np.array_equal(table[:, 0], rec.times)
-        assert np.array_equal(table[:, 1:1 + ds.n], rec.conditions)
-        assert np.array_equal(table[:, 1 + ds.n:-1], rec.forces)
-        assert np.array_equal(table[:, -1], rec.condition_ids)
+        (path,) = tmp_path.glob("trajectories_*.npy")
+        table = np.load(path, allow_pickle=False)
+        assert path.name == f"trajectories_{zlib.crc32(table):08x}.npy"
+        assert json.loads((tmp_path / "manifest.json").read_text())["table"] == path.name
+        assert table.dtype == np.float64 and table.shape == (2, ds.length, 2 + ds.n + ds.f)
+        for rec, rows in zip(ds.records, table):
+            assert np.array_equal(rows[:, 0], rec.times)
+            assert np.array_equal(rows[:, 1:1 + ds.n], rec.conditions)
+            assert np.array_equal(rows[:, 1 + ds.n:-1], rec.forces)
+            assert np.array_equal(rows[:, -1], rec.condition_ids)
+
+    def test_manifest_holds_f0_and_directions(self, tmp_path):
+        ds = gen_task1("switching", num_conditions=3)
+        save_dataset(ds, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["f0"] == [list(r.f0) for r in ds.records]
+        assert manifest["directions"] == [r.direction for r in ds.records]
+        save_dataset(gen_task2(num_trajectories=1, length=40), tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text())["directions"] is None
+        assert load_dataset(tmp_path).records[0].direction is None
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -414,17 +430,21 @@ class TestDiskFormat:
     def test_missing_trajectory_file(self, tmp_path):
         ds = gen_task1("static", num_conditions=2)
         save_dataset(ds, tmp_path)
-        (tmp_path / "traj_0001.npy").unlink()
-        with pytest.raises(FileNotFoundError):
+        (path,) = tmp_path.glob("trajectories_*.npy")
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match=path.name):
             load_dataset(tmp_path)
 
-    def test_non_numeric_cell_rejected(self, tmp_path):
+    def test_non_numeric_cell_rejected(self, tmp_path, reseal_table):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
-        path = tmp_path / "traj_0001.npy"
-        cells = np.load(path).astype(str)
-        cells[1, 3] = "garbage"
-        np.save(path, cells, allow_pickle=False)
-        with pytest.raises(ValueError, match="traj_0001.npy"):
+
+        def garbage(body, table):
+            cells = table.astype(str)
+            cells[1, 1, 3] = "garbage"
+            return _npy_bytes(cells)
+
+        path = reseal_table(tmp_path, garbage)
+        with pytest.raises(ValueError, match=path.name):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("edit", [
@@ -434,49 +454,79 @@ class TestDiskFormat:
         lambda b, a: b"t,x_0,x_1,x_2,x_3,F_0,F_1,cond_id\n0.02,1,2,3,4,5,6,0\n",
         lambda b, a: _npy_bytes(a.astype(np.float32)),
         lambda b, a: _npy_bytes(a.astype(np.int64)),
-        lambda b, a: _npy_bytes(a.ravel()),
+        lambda b, a: _npy_bytes(a.reshape(-1, a.shape[-1])),
         lambda b, a: _npy_bytes(a[None]),
-        lambda b, a: _npy_header((10**12, a.shape[1])) + a.tobytes(),
+        lambda b, a: _npy_header((10**12,) + a.shape[1:]) + a.tobytes(),
     ], ids=["empty", "truncated_data", "truncated_header", "csv", "float32", "int64",
             "1d", "3d", "huge_shape"])
-    def test_unreadable_trajectory_file_rejected(self, tmp_path, edit):
+    def test_unreadable_trajectory_file_rejected(self, tmp_path, reseal_table, edit):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
-        path = tmp_path / "traj_0001.npy"
-        path.write_bytes(edit(path.read_bytes(), np.load(path)))
-        with pytest.raises(ValueError, match="traj_0001.npy"):
+        path = reseal_table(tmp_path, edit)
+        with pytest.raises(ValueError, match=path.name):
             load_dataset(tmp_path)
 
-    def test_object_array_refused_without_unpickling(self, tmp_path, monkeypatch):
+    def test_object_array_refused_without_unpickling(self, tmp_path, monkeypatch,
+                                                     reseal_table):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
-        path = tmp_path / "traj_0001.npy"
-        np.save(path, np.load(path).astype(object), allow_pickle=True)
+        path = reseal_table(tmp_path,
+                            lambda b, a: _npy_bytes(a.astype(object), allow_pickle=True))
 
         def unpickle(*args, **kwargs):
             raise AssertionError("load_dataset unpickled a trajectory file")
 
         monkeypatch.setattr(pickle, "load", unpickle)
         monkeypatch.setattr(pickle, "loads", unpickle)
-        with pytest.raises(ValueError, match="traj_0001.npy"):
+        with pytest.raises(ValueError, match=path.name):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("f0", ["garbage", {"x": 1.0}, [[1.0, 2.0]]],
-                             ids=["text", "object", "matrix"])
+    def test_flipped_byte_rejected(self, tmp_path):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+        (path,) = tmp_path.glob("trajectories_*.npy")
+        body = bytearray(path.read_bytes())
+        body[-np.load(path).nbytes] ^= 1  # the lowest bit of the first t
+        path.write_bytes(bytes(body))
+        with pytest.raises(ValueError, match=f"{path.name}.*CRC32"):
+            load_dataset(tmp_path)
+
+    def test_fractional_cond_id_rejected(self, tmp_path, reseal_table):
+        save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
+
+        def fractional(body, table):
+            table[1, 0, -1] = 3.7
+            return _npy_bytes(table)
+
+        path = reseal_table(tmp_path, fractional)
+        with pytest.raises(ValueError, match=f"{path.name}.*not an integer"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("f0", ["garbage", {"x": 1.0}, [[1.0, 2.0]], [[1.0, 2.0, 3.0]] * 2,
+                                    [[1.0, 2.0], [1.0, float("nan")]], [[1.0, 2.0], [1.0]]],
+                             ids=["text", "object", "matrix", "three_values", "nan", "ragged"])
     def test_malformed_manifest_f0_rejected(self, tmp_path, f0):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["trajectories"][1]["f0"] = f0
+        manifest["f0"] = f0
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="traj_0001.npy"):
+        with pytest.raises(ValueError, match="manifest.json"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("edit", [
         {"n": "4"}, {"n": 4.0}, {"n": True}, {"f": None}, {"L": 0},
         {"num_trajectories": -2}, {"dt": "x"}, {"dt": None}, {"dt": -1}, {"dt": 0},
         {"dt": float("nan")}, {"dt": float("inf")}, {"dt": True},
-        {"trajectories": {"file": "traj_0000.npy"}}, "list"],
+        {"table": {"file": "trajectories_00000000.npy"}}, {"table": "../x.npy"},
+        {"table": 7}, {"table": "trajectories_0000000g.npy"}, {"directions": "XYX"},
+        {"directions": ["X"]}, {"directions": [1, 2]}, {"oracle_params": None},
+        {"oracle_params": {**OracleParams().to_dict(), "cd": 5}},
+        {"oracle_params": {**OracleParams().to_dict(), "rho": "x"}},
+        {"oracle_params": {**OracleParams().to_dict(), "rho": -1.0}},
+        {"oracle_params": {}}, "list"],
         ids=["n_text", "n_float", "n_bool", "f_null", "L_zero", "count_negative", "dt_text",
              "dt_null", "dt_negative", "dt_zero", "dt_nan", "dt_inf", "dt_bool",
-             "trajectories_object", "list"])
+             "table_object", "table_traversal", "table_number", "table_not_hex",
+             "directions_text", "directions_short", "directions_numbers", "oracle_null",
+             "oracle_cd_number", "oracle_rho_text", "oracle_rho_negative", "oracle_empty",
+             "list"])
     def test_malformed_manifest_scalar_rejected(self, tmp_path, edit):
         save_dataset(gen_task1("static", num_conditions=2, length=5), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -496,21 +546,38 @@ class TestDiskFormat:
         assert np.array_equal(loaded.forces, rec.forces)
         assert np.array_equal(loaded.condition_ids, rec.condition_ids)
 
-    def test_cut_save_leaves_no_loadable_mix(self, tmp_path, monkeypatch):
-        save_dataset(generate("1.1", seed=1, num_trajectories=3, length=10), tmp_path)
-        real, calls = hydrodata.atomic_write, []
+    @pytest.mark.parametrize("cut", ["table", "manifest"])
+    def test_cut_save_keeps_old_dataset(self, tmp_path, monkeypatch, cut):
+        old = generate("1.1", seed=1, num_trajectories=3, length=10)
+        save_dataset(old, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = os.replace
 
-        def failing(path, *args, **kwargs):
-            calls.append(path)
-            if len(calls) == 2:
+        def failing(src, dst):  # the write went through; the rename that ends it fails
+            if str(dst).endswith(".npy" if cut == "table" else "manifest.json"):
                 raise OSError("disk full")
-            return real(path, *args, **kwargs)
+            real(src, dst)
 
-        monkeypatch.setattr(hydrodata, "atomic_write", failing)
+        monkeypatch.setattr(os, "replace", failing)
         with pytest.raises(OSError):
-            save_dataset(generate("1.1", seed=2, num_trajectories=3, length=10), tmp_path)
-        with pytest.raises(FileNotFoundError, match="no manifest.json"):
-            load_dataset(tmp_path)
+            save_dataset(generate("1.1", seed=2, num_trajectories=4, length=10), tmp_path)
+        monkeypatch.undo()
+        for name, body in before.items():
+            assert (tmp_path / name).read_bytes() == body
+        loaded = load_dataset(tmp_path)
+        assert loaded.num_trajectories == 3
+        for ra, rb in zip(old.records, loaded.records):
+            for name in ("times", "conditions", "forces", "f0", "condition_ids"):
+                assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes()
+
+    def test_save_over_old_dataset_leaves_one_table(self, tmp_path):
+        save_dataset(generate("1.1", seed=1, num_trajectories=3, length=10), tmp_path)
+        new = generate("1.1", seed=2, num_trajectories=4, length=10)
+        (tmp_path / "other.txt").write_text("kept")
+        save_dataset(new, tmp_path)
+        assert len(list(tmp_path.glob("trajectories_*.npy"))) == 1
+        assert (tmp_path / "other.txt").read_text() == "kept"
+        assert load_dataset(tmp_path).num_trajectories == 4
 
     def test_splits_persist(self, tmp_path):
         ds = gen_task1("static", num_conditions=48)
