@@ -8,12 +8,16 @@ adjoint is exact only while it replays the forward pass's own step. Controls
 are zero-order held across a step, including RK4 substages.
 
 With the model's vector field, an ``MLPKernel``, the whole solve is one tape
-node: ``_step`` runs on numpy arrays, and the VJP reverses the stages, last
-first, each through the MLP's hand-written VJP after rerunning its forward
-from the kept stage state and control row. It adds every gradient in the
-taped path's order, so both give the same bytes. Any other kernel is taped
-one node per stage point and update: with a one-node kernel, three a step
-(Euler) or nine (RK4), counting the control slice, plus the final stack.
+node: ``_step`` runs on numpy arrays and keeps each kernel evaluation's stage
+state. The VJP walks the evaluations in blocks of ``BLOCK``, last block
+first. It reruns a block's MLP forwards as one stacked call, from the kept
+stage states and the controls, and sweeps dL/dk back through them one
+evaluation at a time, last first; only that chain is sequential. Then it
+adds each evaluation's weight, bias and control gradients. Every gradient
+is added in the taped path's order, so both give the same bytes. Any other
+kernel is taped one node per stage point and update: with a one-node kernel,
+three a step (Euler) or nine (RK4), counting the control slice, plus the
+final stack.
 """
 
 from __future__ import annotations
@@ -101,6 +105,10 @@ def _np_axpy(state: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
 # state + k_{j-1} * h_j * dt, at time t + h_j * dt.
 _STAGES = {"euler": (), "rk4": (0.5, 0.5, 1.0)}
 
+# Kernel evaluations that the solve's VJP reruns in one stacked forward: a
+# multiple of every solver's stage count, so a block holds whole steps.
+BLOCK = 64
+
 
 def _update(solver: str, state: np.ndarray, ks: Sequence[np.ndarray], dt: float) -> np.ndarray:
     """The next state from the stage derivatives ``ks``."""
@@ -166,8 +174,9 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     """The taped path's trajectory as one node, with the discrete adjoint as
     its VJP. Parents: F0, controls, the kernel's weights and its biases. The
     field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``.
-    Each kernel evaluation keeps its stage state, f wide, and a view of its
-    control row; the VJP recomputes the MLP's activations from them."""
+    Each kernel evaluation keeps its stage state, f wide; the VJP recomputes
+    the MLP's activations from it and its step's control row, ``BLOCK``
+    evaluations at a time, so its transient memory is one block's."""
     lead = f0.shape[:-1]
     if f0.ndim == 0 or controls.shape[:-2] != lead:
         raise ShapeError(f"F0 {f0.shape} and controls {controls.shape} do not share "
@@ -181,11 +190,11 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     parents = (f0, controls, *kernel.weights, *kernel.biases)
     track = any(p.requires_grad for p in parents)
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
-    caches = []  # per kernel evaluation: its stage state and control view
+    caches = []  # per kernel evaluation: its stage state
 
     def field(s, h):  # autonomous, so h goes unused; c is the current step's control row
         if track:
-            caches.append((s, c))
+            caches.append(s)
         return ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)[0]
 
     dt, s, states = grid.dt, f0.data, []
@@ -198,43 +207,67 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
         return Tensor(out)
 
     def vjp(g):
-        """Reverse every stage; each sum adds its terms in the order the tape
-        sweep adds the gradients of the unfused nodes."""
+        """Reverse the evaluations in blocks of ``BLOCK``, last block first.
+        Each sum adds its terms in the order the tape sweep adds the gradients
+        of the unfused nodes: last evaluation first."""
+        hs, nc = _STAGES[solver], controls.shape[-1]
+        stages, rows = len(hs) + 1, lead or (1,)  # a 1-d state runs as one row
+        wts = [w.T for w in ws]
         gws, gbs = [None] * len(ws), [None] * len(ws)
         gc_all = np.zeros(controls.shape) if controls.requires_grad else None
-
-        def stage(j, gk, need_gx):
-            """dL/d(state) and dL/d(control) of evaluation j, given dL/dk."""
-            s, c = caches[j]  # rerun the evaluation as field ran it, for the same bytes
-            _, inputs, acts = ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)
-            gx, gw_j, gb_j = ad._mlp_vjp(inputs, acts, ws, gk, need_gx)
-            for acc, new in ((gws, gw_j), (gbs, gb_j)):
-                for layer, a in enumerate(new):
-                    if acc[layer] is None:
-                        acc[layer] = np.array(a)
-                    else:
-                        acc[layer] += a
-            if gx is None:
-                return None, None
-            gx = gx.reshape(lead + (-1,))
-            return gx[..., :f], None if gc_all is None else gx[..., f:f + controls.shape[-1]]
-
-        hs = _STAGES[solver]
         g_s = g[..., grid.steps - 1, :]
-        for i in reversed(range(grid.steps)):
-            # the first evaluation of step 0 reads F0, which may need no gradient
-            first_gx = i > 0 or f0.requires_grad or gc_all is not None
-            gks, ga = _update_vjp(solver, g_s, dt), None
-            # g_s turns from dL/d(state after step i) into dL/d(state before it)
-            g_s = g_s if i == 0 else g[..., i - 1, :] + g_s
-            for j in reversed(range(len(gks))):
-                # k_j also moved stage j + 1's point, by h_{j+1} * dt
-                gk = gks[j] if ga is None else gks[j] + ga * float(hs[j] * dt)
-                ga, gc = stage(len(gks) * i + j, gk, j > 0 or first_gx)
-                if ga is not None:
-                    g_s = g_s + ga
-                if gc_all is not None:  # from a zero row: the bytes of ((c4 + c3) + c2) + c1
-                    gc_all[..., i, :] += gc
+        for e0 in reversed(range(0, len(caches), BLOCK)):
+            k = min(BLOCK, len(caches) - e0)
+            i0, i1 = e0 // stages, (e0 + k) // stages
+            # 1. Rerun the block's evaluations as one stacked forward. A stacked
+            # matmul gives each evaluation the product, so the bytes, field gave it.
+            x = np.empty((k, *rows, f + nc))
+            x[..., :f] = np.stack(caches[e0:e0 + k]).reshape(k, *rows, f)
+            x[..., f:] = np.repeat(np.moveaxis(controls.data[..., i0:i1, :], -2, 0), stages,
+                                   0).reshape(k, *rows, nc)
+            _, inputs, acts = ad._mlp_forward(x, ws, bs)
+            slopes = [1.0 - a * a for a in acts]  # tanh' of each hidden layer
+            # 2. Sweep dL/dk back to dL/d[state, control], one evaluation at a
+            # time. gouts holds each layer's dL/d(pre-activation output).
+            gouts = [np.empty((k, *rows, w.shape[1])) for w in ws]
+            gx0 = np.empty_like(x)
+            ga_rows = gx0.reshape(k, *lead, -1)[..., :f]
+            for i in reversed(range(i0, i1)):
+                # the first evaluation of step 0 reads F0, which may need no gradient
+                first_gx = i > 0 or f0.requires_grad or gc_all is not None
+                gks, ga = _update_vjp(solver, g_s, dt), None
+                # g_s turns from dL/d(state after step i) into dL/d(state before it)
+                g_s = g_s if i == 0 else g[..., i - 1, :] + g_s
+                for j in reversed(range(stages)):
+                    e = stages * i + j - e0
+                    # k_j also moved stage j + 1's point, by h_{j+1} * dt
+                    gouts[-1][e] = gks[j] if ga is None else gks[j] + ga * float(hs[j] * dt)
+                    for layer in reversed(range(1, len(ws))):
+                        np.multiply(np.matmul(gouts[layer][e], wts[layer]),
+                                    slopes[layer - 1][e], out=gouts[layer - 1][e])
+                    if j > 0 or first_gx:
+                        np.matmul(gouts[0][e], wts[0], out=gx0[e])
+                        ga = ga_rows[e]
+                        g_s = g_s + ga
+            # 3. Add each evaluation's weight and bias gradients, last first.
+            # Only the sum over an evaluation's own rows is taken per block; a
+            # 1-d state's one row is its bias gradient, unsummed, as in _dense_vjp.
+            for layer, gout in enumerate(gouts):
+                xts = np.swapaxes(inputs[layer], -1, -2)
+                grows = gout.reshape(k, *lead, -1)
+                if lead:
+                    grows = grows.sum(axis=tuple(range(1, len(lead) + 1)))
+                for e in reversed(range(k)):
+                    gw = ad._reduce_to(np.matmul(xts[e], gout[e]), ws[layer].shape)
+                    if gws[layer] is None:
+                        gws[layer], gbs[layer] = gw.copy(), grows[e].copy()
+                    else:
+                        gws[layer] += gw
+                        gbs[layer] += grows[e]
+            if gc_all is not None:  # from a zero row: the bytes of ((c4 + c3) + c2) + c1
+                gc = gx0[..., f:].reshape(i1 - i0, stages, *lead, nc)
+                for j in reversed(range(stages)):
+                    gc_all[..., i0:i1, :] += np.moveaxis(gc[:, j], 0, -2)
         return (g_s if f0.requires_grad else None, gc_all, *gws, *gbs)
 
     return Tensor._make(out, parents, vjp, "solve")

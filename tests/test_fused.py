@@ -547,25 +547,46 @@ def _solve_inputs(case, grads=None):
     return f0, controls, block, kernel, closure, TimeGrid(t0, dt, steps)
 
 
-def _task2_solve_growth() -> int:
-    """Live bytes that a Task 2-shaped RK4 solve (B=16, L=400, f=6, latent
-    64, three hidden layers of 64) adds, with a gradient to its controls."""
-    batch, length, f, latent = 16, 400, 6, 64
+def _task2_solve(length: int):
+    """A Task 2-shaped RK4 solve (B=16, f=6, latent 64, three hidden layers
+    of 64) over ``length`` steps, with a gradient to its controls: F0, the
+    kernel, the controls and the grid."""
+    batch, f, latent = 16, 6, 64
     rng = np.random.default_rng(0)
     block = MLPBlock([f + latent, 64, 64, 64, f], rng)
     kernel = MLPKernel([layer.weight for layer in block.layers],
                        [layer.bias for layer in block.layers])
     f0 = Tensor(rng.normal(size=(batch, f)))
     controls = Tensor(rng.normal(size=(batch, length, latent)), requires_grad=True)
+    return f0, kernel, controls, TimeGrid(0.0, 0.02, length)
+
+
+def _task2_solve_growth() -> int:
+    """Live bytes that the ``_task2_solve`` solve at L=400 adds."""
+    f0, kernel, controls, grid = _task2_solve(400)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = odeint.integrate("rk4", f0, kernel, TimeGrid(0.0, 0.02, length), controls)
+        out = odeint.integrate("rk4", f0, kernel, grid, controls)
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert out.op == "solve"
     return live
+
+
+def _task2_backward_peak(length: int) -> int:
+    """Peak traced bytes that backward through the ``_task2_solve`` solve
+    over ``length`` steps allocates."""
+    f0, kernel, controls, grid = _task2_solve(length)
+    loss = ad.reduce_sum(odeint.integrate("rk4", f0, kernel, grid, controls))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestSolve:
@@ -582,6 +603,44 @@ class TestSolve:
         for a, b in zip(_grads(_weighted_sum(fused, seed), tensors),
                         _grads(_weighted_sum(taped, seed), tensors)):
             assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("solver,steps", [("euler", 64), ("euler", 65), ("euler", 129),
+                                              ("rk4", 16), ("rk4", 17), ("rk4", 33)])
+    @pytest.mark.parametrize("lead,f", [((), 2), ((1,), 3), ((2, 3), 2), ((9,), 1)])
+    @pytest.mark.parametrize("f0_grad,c_grad", [(False, False), (True, False), (False, True),
+                                                (True, True)])
+    def test_matches_taped_solve_across_blocks(self, solver, steps, lead, f, f0_grad, c_grad):
+        """Solves that fill one VJP block of 64 evaluations exactly, spill
+        one step into a second, or one into a third give the taped path's
+        trajectory and gradients byte for byte."""
+        seed = steps * 10 + f
+        case = (solver, lead, f, 3, [4, 1], steps, 0.0, 0.05, f0_grad, c_grad, seed)
+        f0, controls, block, kernel, closure, grid = _solve_inputs(case)
+        fused = odeint.integrate(solver, f0, kernel, grid, controls)
+        taped = odeint.integrate(solver, f0, closure, grid, controls)
+        assert _same_bytes(fused.data, taped.data)
+        tensors = [f0, controls, *(t for _, t in block.named_parameters())]
+        for a, b in zip(_grads(_weighted_sum(fused, seed), tensors),
+                        _grads(_weighted_sum(taped, seed), tensors)):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_signed_zero_gradients_match_taped_solve(self, lead):
+        """A -0.0 output gradient through one Euler step reaches the last
+        bias gradient as -0.0 for a 1-d state, which no sum may turn into
+        0.0; both paths give the same bytes."""
+        case = ("euler", lead, 2, 3, [4], 1, 0.0, 0.05, True, True, 5)
+        f0, controls, block, kernel, closure, grid = _solve_inputs(case)
+        tensors = [f0, controls, *(t for _, t in block.named_parameters())]
+        grads = []
+        for k in (kernel, closure):
+            out = odeint.integrate("euler", f0, k, grid, controls)
+            for t in tensors:
+                t.zero_grad()
+            ad.backward(out, seed=np.full(out.shape, -0.0))
+            grads.append([t.grad.copy() for t in tensors])
+        assert all(_same_bytes(a, b) for a, b in zip(*grads))
+        assert np.signbit(grads[1][-1]).all() == (lead == ())
 
     @given(solve_cases())
     @settings(max_examples=15, deadline=None)
@@ -601,11 +660,11 @@ class TestSolve:
         assert out.shape == (3, 2) and out._vjp is None and not out.requires_grad
 
     def test_caches_hold_no_control_columns(self):
-        """A Task 2-shaped RK4 solve (see ``_task2_solve_growth``) keeps, per
-        kernel evaluation, its stage state and a view of its control row, not
-        the [state, control] row: less live growth than 1600 evaluations of 16
-        rows of 6 + 3 * 64 floats and half the 64 control columns, which the
-        [state, control] rows would exceed."""
+        """A Task 2-shaped RK4 solve (see ``_task2_solve``) keeps, per kernel
+        evaluation, its stage state only, not the [state, control] row: less
+        live growth than 1600 evaluations of 16 rows of 6 + 3 * 64 floats and
+        half the 64 control columns, which the [state, control] rows would
+        exceed. The VJP reads each step's control row from the controls."""
         batch, length, f, latent = 16, 400, 6, 64
         assert _task2_solve_growth() < 4 * length * batch * (f + 3 * 64 + latent // 2) * 8
 
@@ -618,7 +677,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("solver,stages", [("euler", 1), ("rk4", 4)])
     def test_vjp_recomputes_each_evaluation_once(self, monkeypatch, rng, solver, stages):
-        steps = 5
+        """The VJP reruns the kernel in stacked blocks of at most ``BLOCK``
+        evaluations (the leading axis of each ``_mlp_forward`` input), and
+        the blocks cover every evaluation exactly once: 17 RK4 steps take
+        two blocks."""
+        steps = 17
         block = MLPBlock([2 + 3, 4, 4, 2], rng)
         kernel = MLPKernel([layer.weight for layer in block.layers],
                            [layer.bias for layer in block.layers])
@@ -626,11 +689,27 @@ class TestSolve:
         controls = Tensor(rng.normal(size=(2, steps, 3)), requires_grad=True)
         loss = ad.reduce_sum(odeint.integrate(solver, f0, kernel, TimeGrid(0.0, 0.1, steps),
                                               controls))
-        calls = []
+        evaluations = []
         forward = ad._mlp_forward
-        monkeypatch.setattr(ad, "_mlp_forward", lambda *args: calls.append(1) or forward(*args))
+        monkeypatch.setattr(ad, "_mlp_forward",
+                            lambda x, *args: evaluations.append(x.shape[0]) or forward(x, *args))
         ad.backward(loss)
-        assert len(calls) == stages * steps
+        assert sum(evaluations) == stages * steps
+        assert max(evaluations) <= odeint.BLOCK
+        assert len(evaluations) == -(-stages * steps // odeint.BLOCK)
+
+    def test_vjp_transient_is_one_block(self):
+        """Backward through the ``_task2_solve`` solve peaks at L=800 above
+        its peak at L=400 by at most the 400 extra rows of the control
+        gradient (3.1 MiB) plus a 1 MiB margin: the VJP holds one block of 64
+        evaluations' activations and gradients, whatever the horizon.
+        Measured: 11.8 and 15.3 MiB, 0.3 MiB over the control rows, which the
+        output gradient's extra rows account for. A block spanning the whole
+        horizon reads 147 and 294 MiB."""
+        batch, latent = 16, 64
+        extra_control_rows = 400 * batch * latent * 8
+        growth = _task2_backward_peak(800) - _task2_backward_peak(400)
+        assert growth < extra_control_rows + 2 ** 20
 
     @pytest.mark.parametrize("solver", ["euler", "rk4"])
     def test_second_backward_gives_same_gradients(self, solver):
