@@ -30,8 +30,9 @@ its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
 that math exists once. Each computes its forward and gradients as the
 unfused chain of small ops does, so both are bit-identical to that chain
 (``lstm_layer``'s weight gradients up to the order of a batched sum). ``odeint`` adds a whole-solve
-node for the model's MLP kernel, built on ``mlp``'s helpers ``_mlp_forward``
-and ``_mlp_vjp``. For other kernels it tapes each step as one node per stage
+node for the model's MLP kernel, built on ``mlp``'s helper ``_mlp_forward``;
+its VJP takes each layer's products as ``_dense_vjp`` does, a block of kernel
+evaluations at a time. For other kernels it tapes each step as one node per stage
 point and one for the update, both read from its stage table, and stacks the
 trajectory as one node.
 """
