@@ -25,16 +25,18 @@ projections included; it works its [L, L] scores one cache-sized group of
 trajectories at a time (``_TILE_BYTES``), and it keeps no softmax weights:
 its VJP recomputes them group by group, moving no byte; ``lstm_layer`` is
 one LSTM layer over every step, with
-backpropagation through time as its VJP. All three write ``x @ w + b`` and
-its gradients through the numpy helpers ``_dense`` and ``_dense_vjp``, so
-that math exists once. Each computes its forward and gradients as the
-unfused chain of small ops does, so both are bit-identical to that chain
-(``lstm_layer``'s weight gradients up to the order of a batched sum). ``odeint`` adds a whole-solve
-node for the model's MLP kernel, built on ``mlp``'s helper ``_mlp_forward``;
-its VJP takes each layer's products as ``_dense_vjp`` does, a block of kernel
-evaluations at a time. For other kernels it tapes each step as one node per stage
-point and one for the update, both read from its stage table, and stacks the
-trajectory as one node.
+backpropagation through time as its VJP. All three write ``x @ w + b``
+through ``mlp``'s numpy helper ``_mlp_forward`` (a linear layer is a
+one-layer call) and its gradients through ``_dense_vjp``, so that math
+exists once. Each computes its forward and gradients as the unfused chain
+of small ops does, so both are bit-identical to that chain (``lstm_layer``'s
+weight gradients up to the order of a batched sum). ``odeint`` adds a
+whole-solve node for the model's MLP kernel, built on ``_mlp_forward``: its
+forward writes every kernel evaluation into arrays made once per solve, and
+its VJP takes each layer's products as ``_dense_vjp`` does, a block of
+kernel evaluations at a time. For other kernels it tapes each step as one
+node per stage point and one for the update, both read from its stage
+table, and stacks the trajectory as one node.
 """
 
 from __future__ import annotations
@@ -220,16 +222,8 @@ def sigmoid(a: Tensor) -> Tensor:
 # ---- matmul and attention -------------------------------------------------
 
 
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x @ w + b`` for ``x`` 1-d or with any leading axes; also returns ``x``
-    as the matmul saw it (a 1-d ``x`` as one row), which ``_dense_vjp`` takes."""
-    x2 = x.reshape(1, -1) if x.ndim == 1 else x
-    y = np.matmul(x2, w)
-    return (y.reshape(w.shape[1]) if x.ndim == 1 else y) + b, x2
-
-
 def _dense_vjp(x2: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
-    """Gradients of ``_dense`` for output gradient ``g``: the input's (shaped
+    """Gradients of ``x2 @ w + b`` for output gradient ``g``: the input's (shaped
     as ``x2``, None unless ``need_gx``), the weight's and the bias's, the last
     two summed over every leading axis."""
     g2 = g.reshape(1, -1) if g.ndim == 1 else g
@@ -248,17 +242,30 @@ def _check_layers(shape: tuple[int, ...], weights: Sequence[Tensor],
         shape = shape[:-1] + (w.shape[1],)
 
 
-def _mlp_forward(x: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]):
-    """The MLP's output for input ``x``, with what ``_mlp_vjp`` needs: each
-    layer's input as the matmul saw it, and the hidden tanh outputs."""
-    inputs, acts = [], []
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        x, x2 = _dense(x, w, b)
-        inputs.append(x2)
-        if i < len(ws) - 1:
-            x = np.tanh(x)
-            acts.append(x)
-    return x, inputs, acts
+def _mlp_forward(x: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray],
+                 hidden: Sequence[np.ndarray] | None = None):
+    """The MLP's output for input ``x``, 1-d or with any leading axes, with
+    what ``_mlp_vjp`` needs: each layer's input as the matmul saw it, and the
+    hidden tanh outputs. This is the one ``x @ w + b``: a linear layer is a
+    one-layer call.
+
+    Each hidden layer is written into ``hidden[i]`` when given (shaped as the
+    matmul's output, so a 1-d ``x`` needs [1, width] arrays), else into a new
+    array. A 1-d ``x`` runs as one row, and its output and activations come
+    back 1-d: a sum over a single row would turn a -0.0 bias gradient in
+    ``_mlp_vjp`` into 0.0."""
+    a = x.reshape(1, -1) if x.ndim == 1 else x
+    inputs = [a]
+    for i in range(len(ws) - 1):
+        a = np.matmul(a, ws[i], None if hidden is None else hidden[i])
+        np.add(a, bs[i], a)
+        np.tanh(a, a)
+        inputs.append(a)
+    y = np.matmul(a, ws[-1])
+    y += bs[-1]
+    if x.ndim == 1:
+        return y.reshape(-1), inputs, [h.reshape(-1) for h in inputs[1:]]
+    return y, inputs, inputs[1:]
 
 
 def _mlp_vjp(inputs, acts, ws: Sequence[np.ndarray], g: np.ndarray, need_gx: bool):
@@ -327,11 +334,13 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xs = x.data.reshape((1,) + x.shape) if x.ndim == 2 else x.data
     h = np.zeros(xs.shape[:-2] + (hid,))
     c = np.zeros_like(h)
+    # the bias repeated over the rows, so that adding it needs no broadcast
+    ws, bs = [w.data], [np.broadcast_to(b.data, h.shape[:-1] + b.shape).copy()]
     steps = []  # (xh, i, f, g, o, c before, tanh(c)) per step
     hs = []
     for t in range(xs.shape[-2]):
         xh = np.concatenate([xs[..., t, :], h], axis=-1)
-        z, _ = _dense(xh, w.data, b.data)
+        z = _mlp_forward(xh, ws, bs)[0]
         gates = _sigmoid(z)  # the g quarter is unused: it is tanh(z) instead
         i, f, o = gates[..., :hid], gates[..., hid:2 * hid], gates[..., 3 * hid:]
         g = np.tanh(z[..., 2 * hid:3 * hid])
@@ -436,7 +445,7 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
     pass. Every row of scores lies whole in one tile, and each matmul works
     one trajectory at a time either way, so the bytes are those of running
     each op over all n at once."""
-    (q, _), (k, _), (v, _) = (_dense(x, w, b) for w, b in zip(ws[:3], bs[:3]))
+    q, k, v = (_mlp_forward(x, [w], [b])[0] for w, b in zip(ws[:3], bs[:3]))
     length, d = x.shape[-2:]
     d_head = d // heads
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
@@ -450,7 +459,7 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
             p = _head_weights(q3, k3, cols, buf[:t.stop - t.start])
             np.matmul(p, v3[cols], out=outs[h][t])
     joined = np.concatenate(outs, axis=-1).reshape(x.shape)
-    y, _ = _dense(joined, ws[3], bs[3])
+    y = _mlp_forward(joined, ws[3:], bs[3:])[0]
     return y, (q, k, v, heads, joined)
 
 

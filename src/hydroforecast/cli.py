@@ -33,6 +33,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # subcommand its own, and _resolve checks flag and config file values alike
 COUNT = (lambda v: v >= 1, "at least 1")
 POSITIVE = (lambda v: 0 < v < math.inf, "a finite number above 0")
+SEED = (lambda v: v >= 0, "a non-negative integer")  # numpy's seed domain
 
 # what a parsed namespace holds besides the settings that the config echo lists
 NOT_SETTINGS = ("command", "config", "func", "domains")
@@ -124,14 +125,20 @@ def _echo_config(outdir: Path, subcommand: str, resolved: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _require_out(args) -> Path:
-    """``--out``, else ``$HYDROFORECAST_OUT/<subcommand>``, written back for the echo."""
+def _out_dir(args) -> Path | None:
+    """``--out``, else ``$HYDROFORECAST_OUT/<subcommand>``, written back for the
+    echo; None if neither is set."""
     root = os.environ.get("HYDROFORECAST_OUT")
     if not args.out and root:
         args.out = str(Path(root) / args.command)
-    if not args.out:
+    return Path(args.out) if args.out else None
+
+
+def _require_out(args) -> Path:
+    out = _out_dir(args)
+    if out is None:
         raise CliError("--out is required (or set HYDROFORECAST_OUT)", EXIT_USAGE)
-    return Path(args.out)
+    return out
 
 
 # ---- gen-data ------------------------------------------------------------
@@ -175,8 +182,6 @@ def _load_dataset_or_die(path):
     from . import hydrodata as hd
     try:
         return hd.load_dataset(path)
-    except OSError as e:
-        raise CliError(str(e), EXIT_IO)
     except (ValueError, KeyError) as e:
         raise CliError(f"invalid dataset at {path}: {e}", EXIT_CORRUPT)
 
@@ -240,8 +245,6 @@ def _load_model_or_die(path):
     from .models import CheckpointError, checkpoint_load
     try:
         return checkpoint_load(path)
-    except FileNotFoundError as e:
-        raise CliError(str(e), EXIT_IO)
     except CheckpointError as e:
         raise CliError(f"corrupt checkpoint {path}: {e}", EXIT_CORRUPT)
 
@@ -344,6 +347,9 @@ def cmd_gradcheck(args) -> int:
     from .models import ModelConfig, build_model
 
     _resolve_solver(args)
+    out = _out_dir(args)
+    if out is not None:
+        _echo_config(out, args.command, vars(args))
     config = ModelConfig(encoder=MODEL_FLAGS[args.model], n_in=4, f_out=2,
                          d_model=8, heads=2, latent=8, kernel_hidden=(8, 8),
                          lstm_hidden=8, solver=args.solver, dt=0.05, seed=args.seed)
@@ -383,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="BLAS and OpenMP threads, set before numpy loads")
         p.add_argument("--out")
-        p.set_defaults(func=func, domains=domains)
+        p.set_defaults(func=func, domains={"seed": SEED, **domains})
         return p
 
-    p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
+    p = command("gen-data", cmd_gen_data, "generate a synthetic dataset", split_seed=SEED)
     p.add_argument("--task", choices=["1.1", "1.2", "1.3", "2"])
     p.add_argument("--trajectories", type=int)
     p.add_argument("--dt", type=float)
@@ -446,6 +452,9 @@ def main(argv=None) -> int:
         if e.code == EXIT_USAGE:
             print(parser.format_usage(), file=sys.stderr, end="")
         code = e.code
+    except OSError as e:  # its message names the path
+        print(f"error: {e}", file=sys.stderr)
+        code = EXIT_IO
     return code
 
 

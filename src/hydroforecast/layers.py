@@ -140,7 +140,8 @@ class MultiHeadSelfAttention:
         if x.ndim < 2 or x.shape[-1] != self.d_model:
             raise ShapeError(f"attention: input {x.shape} does not fit d_model {self.d_model}")
         weights, biases = self._projections()
-        q, k = (ad._dense(x.data, w.data, b.data)[0] for w, b in zip(weights[:2], biases[:2]))
+        q, k = (ad._mlp_forward(x.data, [w.data], [b.data])[0]
+                for w, b in zip(weights[:2], biases[:2]))
         d_head = self.d_model // self.heads
         return np.stack([ad._head_weights(q, k, np.s_[..., h * d_head:(h + 1) * d_head])
                          for h in range(self.heads)])

@@ -9,7 +9,12 @@ are zero-order held across a step, including RK4 substages.
 
 With the model's vector field, an ``MLPKernel``, the whole solve is one tape
 node: ``_step`` runs on numpy arrays and keeps each kernel evaluation's stage
-state. The VJP walks the evaluations in blocks of ``BLOCK``, last block
+state. Its forward makes its working arrays once per solve: the
+[state, control] input row, the hidden layers, the bias rows and the
+trajectory. Each step writes its control row into the input row once, for
+all its stages, and its new state into the trajectory; each evaluation
+writes its stage state beside the control and runs the MLP over the hidden
+layers. The VJP walks the evaluations in blocks of ``BLOCK``, last block
 first. It reruns a block's MLP forwards as one stacked call, from the kept
 stage states and the controls, and sweeps dL/dk back through them one
 evaluation at a time, last first; only that chain is sequential. Then it
@@ -174,9 +179,14 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     """The taped path's trajectory as one node, with the discrete adjoint as
     its VJP. Parents: F0, controls, the kernel's weights and its biases. The
     field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``.
-    Each kernel evaluation keeps its stage state, f wide; the VJP recomputes
-    the MLP's activations from it and its step's control row, ``BLOCK``
-    evaluations at a time, so its transient memory is one block's."""
+    The forward allocates its working arrays once, so a solve that needs no
+    gradient peaks at about its trajectory's bytes: the input row ``x``
+    (``[*rows, f + latent]``, ``rows`` the leading axes, or one row for a 1-d
+    state), the hidden layers that ``_mlp_forward`` writes over, each bias
+    repeated over the rows and the trajectory ``out``. Each kernel evaluation
+    keeps its stage state, f wide, a new array from ``_step``; the VJP
+    recomputes the MLP's activations from it and its step's control row,
+    ``BLOCK`` evaluations at a time, so its transient memory is one block's."""
     lead = f0.shape[:-1]
     if f0.ndim == 0 or controls.shape[:-2] != lead:
         raise ShapeError(f"F0 {f0.shape} and controls {controls.shape} do not share "
@@ -190,19 +200,25 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     parents = (f0, controls, *kernel.weights, *kernel.biases)
     track = any(p.requires_grad for p in parents)
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
+    rows = lead or (1,)  # a 1-d state runs as one row
+    x = np.empty(rows + (f + controls.shape[-1],))  # [stage state, control row]
+    hidden = [np.empty(rows + w.shape[1:]) for w in ws[:-1]]
+    # each bias repeated over the rows, so that adding it needs no broadcast
+    brows = [np.broadcast_to(b, rows + b.shape).copy() for b in bs]
+    out = np.empty(lead + (grid.steps, f))
     caches = []  # per kernel evaluation: its stage state
 
-    def field(s, h):  # autonomous, so h goes unused; c is the current step's control row
+    def field(s, h):  # autonomous, so h goes unused
         if track:
             caches.append(s)
-        return ad._mlp_forward(np.concatenate([s, c], -1), ws, bs)[0]
+        x[..., :f] = s
+        return ad._mlp_forward(x, ws, brows, hidden)[0].reshape(s.shape)
 
-    dt, s, states = grid.dt, f0.data, []
+    dt, s = grid.dt, f0.data
     for i in range(grid.steps):
-        c = controls.data[..., i, :]
+        x[..., f:] = controls.data[..., i, :]  # held across the step's stages
         s = _step(solver, s, field, _np_axpy, _update, dt)
-        states.append(s)
-    out = np.stack(states, axis=-2)
+        out[..., i, :] = s
     if not track:
         return Tensor(out)
 
@@ -211,7 +227,7 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
         Each sum adds its terms in the order the tape sweep adds the gradients
         of the unfused nodes: last evaluation first."""
         hs, nc = _STAGES[solver], controls.shape[-1]
-        stages, rows = len(hs) + 1, lead or (1,)  # a 1-d state runs as one row
+        stages = len(hs) + 1
         wts = [w.T for w in ws]
         gws, gbs = [None] * len(ws), [None] * len(ws)
         gc_all = np.zeros(controls.shape) if controls.requires_grad else None

@@ -485,6 +485,15 @@ class TestTrain:
         assert r.returncode == 5
         assert path.name in r.stderr and "Traceback" not in r.stderr
 
+    def test_out_is_a_file_exit_3(self, dataset_dir, tmp_path):
+        out = tmp_path / "file"
+        out.write_text("kept")
+        r = run_cli("train", "--data", str(dataset_dir), "--max-epochs", "1",
+                    "--out", str(out))
+        assert r.returncode == 3
+        assert str(out) in r.stderr and "Traceback" not in r.stderr
+        assert out.read_text() == "kept"
+
     def test_nonexistent_dataset(self, tmp_path):
         r = run_cli("train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "t"))
@@ -534,6 +543,18 @@ class TestFlagDomains:
                                *flag_or_config(tmp_path, "tolerance", value, source))
         assert code == 2
         assert "--tolerance must be a finite number above 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen-data", "seed"), ("gen-data", "split-seed"), ("train", "seed"),
+        ("predict", "seed"), ("eval", "seed"), ("bench", "seed"), ("gradcheck", "seed")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, command, flag, source):
+        """numpy takes only non-negative seeds."""
+        code = main_in_process(monkeypatch, command, "--out", str(tmp_path / "o"),
+                               *flag_or_config(tmp_path, flag, -1, source))
+        assert code == 2
+        assert f"--{flag} must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredictEval:
@@ -619,6 +640,13 @@ class TestPredictEval:
                     "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_checkpoint_directory_exit_3(self, dataset_dir, tmp_path, command):
+        r = run_cli(command, "--checkpoint", str(tmp_path), "--data", str(dataset_dir),
+                    "--out", str(tmp_path / "p"))
+        assert r.returncode == 3
+        assert str(tmp_path) in r.stderr and "Traceback" not in r.stderr
+
     def test_model_data_dim_mismatch(self, checkpoint, tmp_path):
         out = tmp_path / "task2data"
         r = run_cli("gen-data", "--task", "2", "--trajectories", "12",
@@ -644,6 +672,14 @@ class TestBench:
         assert [row["model"] for row in payload["rows"]] == [
             "MLP-ODE", "Attention-ODE", "LSTM"]
 
+    def test_out_is_a_file_exit_3(self, tmp_path):
+        out = tmp_path / "file"
+        out.write_text("kept")
+        r = run_cli("bench", "--suite", "task1", "--max-epochs", "1", "--out", str(out))
+        assert r.returncode == 3
+        assert str(out) in r.stderr and "Traceback" not in r.stderr
+        assert out.read_text() == "kept"
+
 
 class TestGradcheck:
     def test_passes(self):
@@ -657,6 +693,21 @@ class TestGradcheck:
                                "--steps", "5")
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_out_echoes_resolved_config(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.setattr(autodiff, "grad_check", lambda *args, **kwargs: 0.0)
+        monkeypatch.delenv("HYDROFORECAST_OUT", raising=False)
+        if source == "flag":
+            out, argv = tmp_path / "g", ["--out", str(tmp_path / "g")]
+        else:
+            out, argv = tmp_path / "gradcheck", []
+            monkeypatch.setenv("HYDROFORECAST_OUT", str(tmp_path))
+        code = main_in_process(monkeypatch, "gradcheck", "--steps", "3", *argv)
+        assert code == 0
+        echo = json.loads((out / "resolved_config.json").read_text())
+        assert echo["subcommand"] == "gradcheck" and echo["steps"] == 3
+        assert echo["out"] == str(out) and echo["solver"] == "euler"
 
     def test_steps_out_of_range(self):
         r = run_cli("gradcheck", "--steps", "500")

@@ -213,6 +213,48 @@ class TestMLP:
         joined = mlp(Tensor(np.concatenate([a, b], axis=-1)))
         assert _same_bytes(mlp(Tensor(a), Tensor(b)).data, joined.data)
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("dims", [[2], [4, 2], [4, 3, 2]])
+    def test_forward_into_given_arrays(self, rng, lead, dims):
+        """``_mlp_forward`` writing its hidden layers over arrays it is given,
+        two calls in a row, gives the bytes of fresh arrays: the output, each
+        layer's input and the activations, 1-d for a 1-d input."""
+        ins = [5] + dims[:-1]
+        ws = [rng.normal(size=(a, b)) for a, b in zip(ins, dims)]
+        bs = [rng.normal(size=b) for b in dims]
+        hidden = [np.full((lead or (1,)) + (d,), np.nan) for d in dims[:-1]]
+        for _ in range(2):
+            x = rng.normal(size=lead + (5,))
+            y, inputs, acts = ad._mlp_forward(x, ws, bs, hidden)
+            y_new, inputs_new, acts_new = ad._mlp_forward(x, ws, bs)
+            assert y.shape == lead + (2,) and _same_bytes(y, y_new)
+            assert all(_same_bytes(a, b) for a, b in zip(inputs, inputs_new))
+            assert [a.shape for a in acts] == [lead + (d,) for d in dims[:-1]]
+            assert all(_same_bytes(a, b) for a, b in zip(acts, acts_new))
+            assert all(a is h for a, h in zip(inputs[1:], hidden))
+
+    def test_signed_zero_bias_gradients_of_1d_input(self):
+        """A 1-d input keeps -0.0 in its bias gradients: the output gradient's
+        -0.0 reaches the last bias, and a saturated tanh (slope 0.0) times a
+        negative gradient reaches the hidden bias as -0.0. A sum over one row,
+        as a 2-d activation would take in ``_mlp_vjp``, gives 0.0. Both match
+        the unfused chain byte for byte."""
+        x = Tensor(np.array([1.0, 0.2]), requires_grad=True)
+        weights = [Tensor(np.array([[30.0, 0.5], [0.0, 0.3]]), requires_grad=True),
+                   Tensor(np.array([[0.4, 0.7], [0.2, 0.9]]), requires_grad=True)]
+        biases = [Tensor(np.zeros(2), requires_grad=True) for _ in range(2)]
+        seed = np.array([-0.0, -1.0])
+        grads = []
+        for y in (ad.mlp([x], weights, biases), unfused_mlp([x], weights, biases)):
+            for t in (x, *weights, *biases):
+                t.zero_grad()
+            ad.backward(y, seed=seed)
+            grads.append([t.grad.copy() for t in (x, *weights, *biases)])
+        assert all(_same_bytes(a, b) for a, b in zip(*grads))
+        gb_hidden, gb_out = grads[0][-2:]
+        assert gb_hidden[0] == 0.0 and np.signbit(gb_hidden[0])
+        assert gb_out[0] == 0.0 and np.signbit(gb_out[0])
+
     def test_shape_errors(self, rng):
         w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
         with pytest.raises(ShapeError):  # parts' widths do not sum to the input width

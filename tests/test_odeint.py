@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ class TestDispatch:
         assert np.array_equal(
             integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data,
             integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data)
+
+    def test_solve_without_gradient_peaks_at_one_trajectory(self, rng):
+        """An Euler solve of an MLP kernel that no gradient needs (B=64,
+        L=800, f=6) allocates its trajectory once and works each evaluation
+        in arrays made once per solve: tracemalloc's peak stays within 10% of
+        the trajectory's bytes. Measured: 1.02; 2.1 when each state was kept
+        in a list and then stacked."""
+        batch, length, f, latent = 64, 800, 6, 8
+        block = MLPBlock([f + latent, 16, 16, f], rng)
+        kernel = MLPKernel([Tensor(layer.weight.data) for layer in block.layers],
+                           [Tensor(layer.bias.data) for layer in block.layers])
+        f0 = Tensor(rng.normal(size=(batch, f)))
+        controls = Tensor(rng.normal(size=(batch, length, latent)))
+        tracemalloc.start()
+        try:
+            out = integrate("euler", f0, kernel, TimeGrid(0.0, 0.01, length), controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.op == "leaf" and out.data.nbytes == batch * length * f * 8
+        assert peak < 1.1 * out.data.nbytes
 
 
 class TestConvergence:
