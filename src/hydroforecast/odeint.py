@@ -179,11 +179,8 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     """The taped path's trajectory as one node, with the discrete adjoint as
     its VJP. Parents: F0, controls, the kernel's weights and its biases. The
     field is autonomous, so the solve reads ``grid.dt`` but never ``grid.t0``.
-    The forward allocates its working arrays once, so a solve that needs no
-    gradient peaks at about its trajectory's bytes: the input row ``x``
-    (``[*rows, f + latent]``, ``rows`` the leading axes, or one row for a 1-d
-    state), the hidden layers that ``_mlp_forward`` writes over, each bias
-    repeated over the rows and the trajectory ``out``. Each kernel evaluation
+    The forward makes its working arrays once, so a solve that needs no
+    gradient peaks at about its trajectory's bytes. Each kernel evaluation
     keeps its stage state, f wide, a new array from ``_step``; the VJP
     recomputes the MLP's activations from it and its step's control row,
     ``BLOCK`` evaluations at a time, so its transient memory is one block's."""
@@ -201,7 +198,7 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     track = any(p.requires_grad for p in parents)
     ws, bs = [w.data for w in kernel.weights], [b.data for b in kernel.biases]
     rows = lead or (1,)  # a 1-d state runs as one row
-    x = np.empty(rows + (f + controls.shape[-1],))  # [stage state, control row]
+    inp = np.empty(rows + (f + controls.shape[-1],))  # the MLP input [stage state, control]
     hidden = [np.empty(rows + w.shape[1:]) for w in ws[:-1]]
     # each bias repeated over the rows, so that adding it needs no broadcast
     brows = [np.broadcast_to(b, rows + b.shape).copy() for b in bs]
@@ -211,12 +208,12 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     def field(s, h):  # autonomous, so h goes unused
         if track:
             caches.append(s)
-        x[..., :f] = s
-        return ad._mlp_forward(x, ws, brows, hidden)[0].reshape(s.shape)
+        inp[..., :f] = s
+        return ad._mlp_forward(inp, ws, brows, hidden)[0].reshape(s.shape)
 
     dt, s = grid.dt, f0.data
     for i in range(grid.steps):
-        x[..., f:] = controls.data[..., i, :]  # held across the step's stages
+        inp[..., f:] = controls.data[..., i, :]  # held across the step's stages
         s = _step(solver, s, field, _np_axpy, _update, dt)
         out[..., i, :] = s
     if not track:
