@@ -27,6 +27,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from bench_pairs import cpu_model, git_state, src_digest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,8 +41,6 @@ def measure(src: str, batch: int, length: int, repeats: int) -> dict:
     sys.path.insert(0, src)
     import resource
     import tracemalloc
-
-    import numpy as np
 
     from hydroforecast import autodiff as ad, evalbench, hydrodata, training
     from hydroforecast.autodiff import Tensor
@@ -72,8 +72,7 @@ def measure(src: str, batch: int, length: int, repeats: int) -> dict:
             "forward_ms": statistics.median(t[0] for t in times),
             "backward_ms": statistics.median(t[1] for t in times),
             "tracemalloc_peak_mib": peak / 2.0 ** 20,
-            "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "numpy": np.__version__}
+            "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def main() -> int:
@@ -111,8 +110,8 @@ def main() -> int:
            "checkout": {**git_state(source_root), "src_sha256": src_digest(source_root)},
            "machine": {"cpu": cpu_model(), "platform": platform.platform(),
                        "threads": 1, "nproc": len(os.sched_getaffinity(0)),
-                       "python": platform.python_version(), "numpy": rows[0]["numpy"]},
-           "rows": [{k: v for k, v in row.items() if k != "numpy"} for row in rows]}
+                       "python": platform.python_version(), "numpy": np.__version__},
+           "rows": rows}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

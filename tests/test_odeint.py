@@ -108,6 +108,8 @@ class TestDispatch:
             integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data,
             integrate("euler", Tensor([1.0]), decay_kernel, grid, c).data)
 
+
+class TestMLPKernelSolve:
     def test_solve_without_gradient_peaks_at_one_trajectory(self, rng):
         """An Euler solve of an MLP kernel that no gradient needs (B=64,
         L=800, f=6) allocates its trajectory once and works each evaluation
