@@ -5,7 +5,7 @@ Writes ``BENCH_paper.json``: the step's forward (forecast and MSE loss) and
 backward (``autodiff.backward``) apart, in ms, at batch 4, 8 and 16 with
 L=400, and at batch 4 with L = 100, 200, 400 and 800, so that a cost that
 grows faster than L shows. Each figure runs in a fresh process with one
-BLAS thread: one untimed warm-up step, then ``--repeats`` timed steps (their
+BLAS thread: one untimed warm-up step, then ``REPEATS`` timed steps (their
 median is kept), then one more step under tracemalloc for the traced peak
 of forward plus backward. The process's max RSS is read at its end.
 
@@ -34,9 +34,10 @@ from bench_pairs import cpu_model, git_state, src_digest
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIGURES = [(4, 400), (8, 400), (16, 400), (4, 100), (4, 200), (4, 800)]
+REPEATS = 3  # timed steps per figure
 
 
-def measure(src: str, batch: int, length: int, repeats: int) -> dict:
+def measure(src: str, batch: int, length: int) -> dict:
     """One figure, in this process: forward and backward ms, traced peak, max RSS."""
     sys.path.insert(0, src)
     import resource
@@ -63,7 +64,7 @@ def measure(src: str, batch: int, length: int, repeats: int) -> dict:
         return (t1 - t0) * 1e3, (t2 - t1) * 1e3
 
     step()
-    times = [step() for _ in range(repeats)]
+    times = [step() for _ in range(REPEATS)]
     tracemalloc.start()
     step()
     peak = tracemalloc.get_traced_memory()[1]
@@ -79,22 +80,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src/ directory to time (default: this checkout's)")
-    parser.add_argument("--repeats", type=int, default=3, help="timed steps per figure")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_paper.json")
     parser.add_argument("--one", nargs=2, type=int, metavar=("BATCH", "LENGTH"),
                         help=argparse.SUPPRESS)  # a child process's single figure
     args = parser.parse_args()
     src = str(args.src.resolve())
     if args.one:
-        print(json.dumps(measure(src, *args.one, args.repeats)))
+        print(json.dumps(measure(src, *args.one)))
         return 0
 
     env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     rows = []
     for batch, length in FIGURES:
-        proc = subprocess.run([sys.executable, __file__, "--src", src, "--repeats",
-                               str(args.repeats), "--one", str(batch), str(length)],
+        proc = subprocess.run([sys.executable, __file__, "--src", src,
+                               "--one", str(batch), str(length)],
                               env=env, capture_output=True, text=True, check=True)
         rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         print(f"batch {batch:2d} L={length:3d}: forward {rows[-1]['forward_ms']:8.1f} ms, "
@@ -103,7 +103,7 @@ def main() -> int:
               f"{rows[-1]['max_rss_mib']:6.1f} MiB", file=sys.stderr)
     source_root = args.src.resolve().parent
     doc = {"topic": "paper",
-           "command": ["python", "scripts/paper_step.py", "--repeats", str(args.repeats)],
+           "command": ["python", "scripts/paper_step.py", *sys.argv[1:]],
            "started": started,
            "step": "Task 2 attention-RK4 at the paper preset: forecast and MSE loss "
                    "(forward), autodiff.backward (backward); no Adam step",

@@ -268,6 +268,13 @@ def _mlp_forward(x: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarra
     return y, inputs, inputs[1:]
 
 
+def _bias_rows(bs: Sequence[np.ndarray], rows: tuple) -> list:
+    """Each bias repeated over ``rows``, for a caller that runs ``_mlp_forward``
+    many times on inputs with these leading axes: the add then needs no
+    broadcast."""
+    return [np.broadcast_to(b, rows + b.shape).copy() for b in bs]
+
+
 def _mlp_vjp(inputs, acts, ws: Sequence[np.ndarray], g: np.ndarray, need_gx: bool):
     """Gradients of ``_mlp_forward`` for output gradient ``g``: the input's
     (shaped as the first matmul saw it, None unless ``need_gx``), and lists of
@@ -334,8 +341,7 @@ def lstm_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xs = x.data.reshape((1,) + x.shape) if x.ndim == 2 else x.data
     h = np.zeros(xs.shape[:-2] + (hid,))
     c = np.zeros_like(h)
-    # the bias repeated over the rows, so that adding it needs no broadcast
-    ws, bs = [w.data], [np.broadcast_to(b.data, h.shape[:-1] + b.shape).copy()]
+    ws, bs = [w.data], _bias_rows([b.data], h.shape[:-1])
     steps = []  # (xh, i, f, g, o, c before, tanh(c)) per step
     hs = []
     for t in range(xs.shape[-2]):

@@ -165,11 +165,8 @@ def cmd_gen_data(args) -> int:
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     ds.splits = assignment
-    try:
-        hd.save_dataset(ds, out)
-        _echo_config(out, args.command, vars(args))
-    except OSError as e:
-        raise CliError(f"cannot write dataset: {e}", EXIT_IO)
+    hd.save_dataset(ds, out)
+    _echo_config(out, args.command, vars(args))
     print(f"wrote {ds.num_trajectories} trajectories (task {args.task}, n={ds.n}, "
           f"f={ds.f}, L={ds.length}) to {out}")
     return EXIT_OK
@@ -281,30 +278,27 @@ def cmd_predict(args) -> int:
     model = _load_model_or_die(args.checkpoint)
     subset = _split(_load_dataset_or_die(args.data), args.split)
     x, forces, f0, pred = _predict_split(model, subset)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _echo_config(out, args.command, vars(args))
-        _write_prediction_csvs(out, subset, pred)
-        if args.command == "eval":
-            metrics = evalbench.compute_metrics(pred, forces)
-            with atomic_write(out / "metrics.json") as fh:
-                fh.write(json.dumps({
-                    "mae": metrics.mae, "rmse": metrics.rmse,
-                    "mae_per_axis": list(metrics.mae_per_axis),
-                    "rmse_per_axis": list(metrics.rmse_per_axis),
-                    "num_samples": metrics.num_samples,
-                    "split": args.split}, indent=2, sort_keys=True) + "\n")
-            labels = ([f"F{a}" for a in "xyz"[:subset.f]] if subset.f <= 3
-                      else ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])
-            for j, rec in enumerate(subset.records):
-                evalbench.plot_trajectory_svg(
-                    rec.times, forces[j], pred[j], out / f"overlay_{j:04d}.svg",
-                    title=f"trajectory {j} ({args.split} split)",
-                    axis_labels=labels)
-            print(f"MAE {metrics.mae:.6g}  RMSE {metrics.rmse:.6g} "
-                  f"on {subset.num_trajectories} {args.split} trajectories")
-    except OSError as e:
-        raise CliError(f"cannot write outputs: {e}", EXIT_IO)
+    out.mkdir(parents=True, exist_ok=True)
+    _echo_config(out, args.command, vars(args))
+    _write_prediction_csvs(out, subset, pred)
+    if args.command == "eval":
+        metrics = evalbench.compute_metrics(pred, forces)
+        with atomic_write(out / "metrics.json") as fh:
+            fh.write(json.dumps({
+                "mae": metrics.mae, "rmse": metrics.rmse,
+                "mae_per_axis": list(metrics.mae_per_axis),
+                "rmse_per_axis": list(metrics.rmse_per_axis),
+                "num_samples": metrics.num_samples,
+                "split": args.split}, indent=2, sort_keys=True) + "\n")
+        labels = ([f"F{a}" for a in "xyz"[:subset.f]] if subset.f <= 3
+                  else ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])
+        for j, rec in enumerate(subset.records):
+            evalbench.plot_trajectory_svg(
+                rec.times, forces[j], pred[j], out / f"overlay_{j:04d}.svg",
+                title=f"trajectory {j} ({args.split} split)",
+                axis_labels=labels)
+        print(f"MAE {metrics.mae:.6g}  RMSE {metrics.rmse:.6g} "
+              f"on {subset.num_trajectories} {args.split} trajectories")
     return EXIT_OK
 
 

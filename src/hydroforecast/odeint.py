@@ -200,8 +200,7 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
     rows = lead or (1,)  # a 1-d state runs as one row
     inp = np.empty(rows + (f + controls.shape[-1],))  # the MLP input [stage state, control]
     hidden = [np.empty(rows + w.shape[1:]) for w in ws[:-1]]
-    # each bias repeated over the rows, so that adding it needs no broadcast
-    brows = [np.broadcast_to(b, rows + b.shape).copy() for b in bs]
+    brows = ad._bias_rows(bs, rows)
     out = np.empty(lead + (grid.steps, f))
     caches = []  # per kernel evaluation: its stage state
 
