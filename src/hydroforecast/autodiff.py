@@ -21,11 +21,17 @@ layers, so a forecast's tape grows by a few nodes per solver step, not by
 dozens. ``mlp`` is the one dense op: a whole MLP block on the
 concatenation of its input parts, and with one layer a linear layer;
 ``attention`` is a whole multi-head self-attention layer, its four
-projections included; it works its [L, L] scores one cache-sized group of
-trajectories at a time (``_TILE_BYTES``), and it keeps no softmax weights:
-its VJP recomputes them group by group, moving no byte; ``lstm_layer`` is
-one LSTM layer over every step, with
-backpropagation through time as its VJP. All three write ``x @ w + b``
+projections included; it works its [L, L] scores one (tile, head) unit at a
+time, a tile being one cache-sized group of trajectories (``_TILE_BYTES``,
+a budget per share), and it keeps no softmax weights: its VJP recomputes
+them unit by unit, moving no byte. Forward and VJP cut the units into one
+contiguous share per CPU that BLAS's threads leave free, at most
+``_MAX_SHARES``; the caller runs the first share and a thread pool made on
+first use the others, and each share has its own tile buffers. Every
+output element belongs to one unit, which runs the same numpy calls in the
+same order on any thread, so the bytes do not depend on the share count;
+``lstm_layer`` is one LSTM layer over every step, with backpropagation
+through time as its VJP. All three write ``x @ w + b``
 through ``mlp``'s numpy helper ``_mlp_forward`` (a linear layer is a
 one-layer call) and its gradients through ``_dense_vjp``, so that math
 exists once. Each computes its forward and gradients as the unfused chain
@@ -42,6 +48,8 @@ table, and stacks the trajectory as one node.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -417,11 +425,72 @@ def _softmax(s: np.ndarray) -> np.ndarray:
 
 
 _TILE_BYTES = 1 << 20
-"""Bytes of [L, L] float64 score tiles that attention takes through its
-softmax, or through the softmax's VJP, before it moves on to the next group
-of trajectories: about half of a 2 MiB L2 cache, so that a group's scores
-stay cached across the chain's elementwise passes with room left for the
-q, k and v rows they read."""
+"""Bytes of [L, L] float64 score tiles that one share of attention's units
+(``_in_shares``) takes through its softmax, or through the softmax's VJP,
+before it moves on to the next group of trajectories: about half of a 2 MiB
+L2 cache, so that a group's scores stay cached across the chain's
+elementwise passes with room left for the q, k and v rows they read. Each
+share has its own tile buffers, so the budget is per share."""
+
+_ROW_BLOCK = 32
+"""Rows of a tile whose ``gp * p`` products the softmax's VJP holds at once
+to take their row sums."""
+
+_MAX_SHARES = 2
+"""The most shares ``_in_shares`` cuts attention's units into: the widest
+cut measured. Each share holds its own tile buffers, two in the VJP, so
+this also bounds attention's scratch whatever the CPU count."""
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _share_count() -> int:
+    """One share per CPU this process may run on that BLAS's threads leave
+    free, at least one and at most ``_MAX_SHARES``: a share beside two BLAS
+    threads on two CPUs made Task 2 training slower. BLAS takes every CPU
+    unless one of ``_BLAS_VARS`` sets its threads; like numpy, this reads
+    them when the module is imported."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
+                 if v and v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(_MAX_SHARES, cpus // blas))
+
+
+_WORKERS = _share_count()
+"""Shares that ``_in_shares`` cuts attention's units into."""
+
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which inherits none of its threads."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_shares(units: list, run: Callable[[list], None]) -> None:
+    """Call ``run`` on ``units`` cut into at most ``_WORKERS`` contiguous
+    shares, in order. The caller runs the first share itself and a pool of
+    ``_WORKERS - 1`` threads, made on first use, runs the others, so with
+    one share no thread starts. Returns once every share is done; an
+    exception from a share is raised here, the caller's first."""
+    global _POOL
+    n = min(_WORKERS, len(units))
+    shares = [units[len(units) * i // n:len(units) * (i + 1) // n] for i in range(n)]
+    if n > 1 and _POOL is None:
+        _POOL = ThreadPoolExecutor(_WORKERS - 1)
+    futures = [_POOL.submit(run, share) for share in shares[1:]]
+    try:
+        run(shares[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _tiles(n: int, length: int) -> list[slice]:
@@ -429,6 +498,13 @@ def _tiles(n: int, length: int) -> list[slice]:
     tiles take at most ``_TILE_BYTES`` together, one trajectory at least."""
     size = max(1, _TILE_BYTES // (8 * length * length))
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _units(n: int, length: int, heads: int, d_head: int) -> list:
+    """Attention's (tile, head) units in order: each ``_tiles`` group's columns
+    of one head, as an index of [n, L, d] arrays."""
+    return [np.s_[t, :, h * d_head:(h + 1) * d_head] for t in _tiles(n, length)
+            for h in range(heads)]
 
 
 def _head_weights(q: np.ndarray, k: np.ndarray, cols, out=None) -> np.ndarray:
@@ -446,25 +522,26 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
     ``_attention_vjp`` needs: q, k, v, the head count and the heads joined.
 
     The leading axes are flattened into n trajectories, cut by ``_tiles``.
-    Each group runs one head's whole chain (scores, scale, softmax, product
-    with v) before the next starts, so its scores are still in cache for each
-    pass. Every row of scores lies whole in one tile, and each matmul works
-    one trajectory at a time either way, so the bytes are those of running
-    each op over all n at once."""
+    Each (tile, head) unit runs one head's whole chain (scores, scale,
+    softmax, product with v) on its group, so its scores are still in cache
+    for each pass, and writes its columns of the joined heads. The units run
+    in ``_in_shares``. Every row of scores lies whole in one tile, and each
+    matmul works one trajectory at a time either way, so the bytes are those
+    of running each op over all n at once."""
     q, k, v = (_mlp_forward(x, [w], [b])[0] for w, b in zip(ws[:3], bs[:3]))
     length, d = x.shape[-2:]
-    d_head = d // heads
     q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
-    n = q3.shape[0]
-    tiles = _tiles(n, length)
-    buf = np.empty((tiles[0].stop, length, length))
-    outs = [np.empty((n, length, d_head)) for _ in range(heads)]
-    for t in tiles:
-        for h in range(heads):
-            cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            p = _head_weights(q3, k3, cols, buf[:t.stop - t.start])
-            np.matmul(p, v3[cols], out=outs[h][t])
-    joined = np.concatenate(outs, axis=-1).reshape(x.shape)
+    joined = np.empty_like(q3)
+    units = _units(q3.shape[0], length, heads, d // heads)
+
+    def run(share):
+        buf = np.empty((units[0][0].stop, length, length))
+        for cols in share:
+            p = _head_weights(q3, k3, cols, buf[:cols[0].stop - cols[0].start])
+            np.matmul(p, v3[cols], out=joined[cols])
+
+    _in_shares(units, run)
+    joined = joined.reshape(x.shape)
     y = _mlp_forward(joined, ws[3:], bs[3:])[0]
     return y, (q, k, v, heads, joined)
 
@@ -473,32 +550,42 @@ def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray
                    need_gx: bool):
     """Gradients of ``_attention_forward`` for output gradient ``g``: the
     input's from q, k and v in turn (each None unless ``need_gx``), and lists
-    of the weights' and the biases'. ``g`` is left intact. Runs on the
-    forward's tiles, one head at a time, recomputing each unit's softmax
-    weights into one tile buffer just before reversing it."""
+    of the weights' and the biases'. ``g`` is left intact. Runs the forward's
+    units in ``_in_shares``, each share recomputing a unit's softmax weights
+    into its own tile buffer just before reversing it."""
     q, k, v, heads, joined = cache
     length, d = q.shape[-2:]
     d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
     gj, gw_o, gb_o = _dense_vjp(joined, ws[3], g, True)
-    ghs = _split(gj.reshape(-1, length, d), [d_head] * heads, -1)
-    q3, k3, v3 = (a.reshape(-1, length, d) for a in (q, k, v))
+    q3, k3, v3, gj3 = (a.reshape(-1, length, d) for a in (q, k, v, gj))
     gq, gk, gv = np.zeros_like(q3), np.zeros_like(k3), np.zeros_like(v3)
-    tiles = _tiles(q3.shape[0], length)
-    buf = np.empty((tiles[0].stop, length, length))
-    for t in tiles:
-        for h in range(heads):
-            cols = np.s_[t, :, h * d_head:(h + 1) * d_head]
-            p = _head_weights(q3, k3, cols, buf[:t.stop - t.start])
-            gh = ghs[h][t]
-            gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2))
+    units = _units(q3.shape[0], length, heads, d_head)
+
+    def run(share):
+        size = units[0][0].stop
+        p_buf, gp_buf = np.empty((2, size, length, length))
+        prod = np.empty((size, _ROW_BLOCK, length))
+        dot = np.empty((size, length, 1))
+        for cols in share:
+            m = cols[0].stop - cols[0].start
+            p = _head_weights(q3, k3, cols, p_buf[:m])
+            gh = gj3[cols]
+            gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2), out=gp_buf[:m])
             gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
-            # softmax's VJP p * (gp - sum(gp * p)), then the scale's
-            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            # softmax's VJP p * (gp - sum(gp * p)), then the scale's; the row
+            # sums a block of rows at a time, each still one row's sum
+            for r in range(0, length, _ROW_BLOCK):
+                rows = slice(r, min(r + _ROW_BLOCK, length))
+                part = np.multiply(gp[:, rows], p[:, rows], out=prod[:m, :rows.stop - r])
+                part.sum(axis=-1, keepdims=True, out=dot[:m, rows])
+            gp -= dot[:m]
             gp *= p
             gp *= inv_sqrt
             gq[cols] += np.matmul(gp, k3[cols])
             gk[cols] += np.swapaxes(np.matmul(np.swapaxes(q3[cols], -1, -2), gp), -1, -2)
+
+    _in_shares(units, run)
     gxs, gws, gbs = zip(*(_dense_vjp(x, w, gi.reshape(q.shape), need_gx)
                           for w, gi in zip(ws, (gq, gk, gv))))
     return gxs, [*gws, gw_o], [*gbs, gb_o]
@@ -525,9 +612,12 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     and every matmul already works one trajectory at a time, so each number
     is computed by the same operations as over the whole batch at once.
     The node keeps q, k, v and the joined heads, no softmax weights: the
-    forward writes every (tile, head) unit's weights into one reused tile
+    forward writes every (tile, head) unit's weights into a reused tile
     buffer, and the VJP recomputes each unit's by the same ``_head_weights``
-    call just before reversing it.
+    call just before reversing it. The units run in contiguous shares, one
+    per CPU that BLAS leaves free, each with its own buffers
+    (``_in_shares``); no two units write the same element, so the bytes
+    are those of running them one after another.
     """
     x = _wrap(x)
     d = x.shape[-1] if x.ndim else 0

@@ -10,6 +10,11 @@ layer call and one for the solve.
 """
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -308,6 +313,23 @@ def _check_layer_weights(attn, x):
         assert _same_bytes(w, unfused_softmax(scores).data)
 
 
+@pytest.fixture
+def share_count(monkeypatch):
+    """Sets how many shares attention cuts its units into. Each count gets a
+    pool of its own, shut down when the next count is set or the test ends."""
+    original = ad._POOL
+
+    def set_count(n):
+        if ad._POOL not in (None, original):
+            ad._POOL.shutdown()
+        monkeypatch.setattr(ad, "_WORKERS", n)
+        monkeypatch.setattr(ad, "_POOL", None)
+
+    yield set_count
+    if ad._POOL not in (None, original):
+        ad._POOL.shutdown()
+
+
 class TestAttention:
     @given(attention_cases())
     @settings(max_examples=40, deadline=None)
@@ -394,28 +416,154 @@ class TestAttention:
         assert live < batch * length * length * 8
 
     @pytest.mark.parametrize("batch,length,tiles", [(3, 50, 1), (3, 400, 3), (16, 256, 8)])
-    def test_vjp_recomputes_weights_once_per_unit_across_tiles(self, monkeypatch, batch,
-                                                               length, tiles):
+    def test_vjp_recomputes_weights_once_per_unit_across_tiles(self, monkeypatch, share_count,
+                                                               batch, length, tiles):
         """The VJP recomputes the softmax weights one (tile, head) unit at a
         time, each once, whether the batch is one tile or more: the forward
-        keeps none."""
+        keeps none. With 1, 2 or 3 workers, each thread's calls are one
+        contiguous, in-order run of the units; the caller's is first, and
+        the runs in order are the units."""
         heads, d = 2, 8
         assert len(ad._tiles(batch, length)) == tiles
         x, _, weights, biases, run = _attention_tensors(((batch,), length, heads,
                                                          d // heads, False, 3))
         loss = _weighted_sum(run(ad.attention), 3)
+        units = [(t.start, t.stop, h * (d // heads)) for t in ad._tiles(batch, length)
+                 for h in range(heads)]
         calls = []
         head_weights = ad._head_weights
 
         def counted(q3, k3, cols, out):
-            calls.append((cols[0].start, cols[0].stop, cols[2].start))
+            unit = (cols[0].start, cols[0].stop, cols[2].start)
+            calls.append((threading.get_ident(), unit))
             return head_weights(q3, k3, cols, out)
 
         monkeypatch.setattr(ad, "_head_weights", counted)
-        ad.backward(loss)
-        units = [(t.start, t.stop, h * (d // heads)) for t in ad._tiles(batch, length)
-                 for h in range(heads)]
-        assert calls == units
+        for workers in (1, 2, 3):
+            share_count(workers)
+            calls.clear()
+            ad.backward(loss)
+            assert sorted(unit for _, unit in calls) == sorted(units)  # each unit once
+            runs = {}
+            for thread, unit in calls:
+                runs.setdefault(thread, []).append(unit)
+            assert len(runs) <= min(workers, len(units))
+            assert all(units[units.index(r[0]):units.index(r[0]) + len(r)] == r
+                       for r in runs.values())
+            assert runs[threading.get_ident()][0] == units[0]
+            assert sum(sorted(runs.values(), key=lambda r: units.index(r[0])), []) == units
+
+    def test_same_bytes_for_any_worker_count(self, share_count):
+        """At B=16, L=256 (8 tiles, 16 units), the forward, the input's
+        gradient and every weight and bias gradient have the same bytes with
+        1, 2, 3 or 8 workers, each count with a pool of its own size, and
+        threads switched as often as the interpreter allows."""
+        heads, d_head, seed = 4, 4, 7
+        x, embed, weights, biases, run = _attention_tensors(
+            ((16,), 256, heads, d_head, True, seed))
+        tensors = [x, *embed, *weights, *biases]
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                share_count(workers)
+                y = run(ad.attention)
+                results.append([y.data, *_grads(_weighted_sum(y, seed), tensors)])
+        finally:
+            sys.setswitchinterval(switch)
+        for other in results[1:]:
+            assert all(_same_bytes(a, b) for a, b in zip(results[0], other))
+
+    def test_worker_error_reaches_caller(self, monkeypatch, share_count):
+        """An error in a pool thread's share of the forward or the VJP is
+        raised by the call, and the next attention call still runs."""
+        x, _, weights, biases, run = _attention_tensors(((4,), 256, 2, 4, False, 1))
+        expected = run(ad.attention).data
+        loss = _weighted_sum(run(ad.attention), 1)
+        share_count(2)
+        head_weights, threads = ad._head_weights, []
+
+        def failing(q3, k3, cols, out):
+            if cols[0].stop == 4:  # a unit of the last tile: the pool's share
+                threads.append(threading.get_ident())
+                raise RuntimeError("unit failed")
+            return head_weights(q3, k3, cols, out)
+
+        monkeypatch.setattr(ad, "_head_weights", failing)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            run(ad.attention)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            ad.backward(loss)
+        assert threads and threading.get_ident() not in threads
+        monkeypatch.setattr(ad, "_head_weights", head_weights)
+        assert _same_bytes(run(ad.attention).data, expected)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_attention(self, share_count):
+        """A child forked after the pool has run holds none of its threads;
+        its attention calls make a pool of their own."""
+        share_count(2)
+        x, _, weights, biases, run = _attention_tensors(((4,), 256, 2, 4, False, 2))
+        expected = run(ad.attention).data
+        assert ad._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        result = ctx.Queue()
+        child = ctx.Process(target=lambda: result.put(run(ad.attention).data.tobytes()))
+        child.start()
+        try:
+            assert result.get(timeout=60) == expected.tobytes()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+
+    @pytest.mark.parametrize("cpus,blas,shares", [
+        (1, "1", 1), (2, "1", 2), (2, "2", 1), (2, None, 1), (4, "2", 2), (64, "1", 2),
+        (64, "0", 1), (64, "x", 1)])
+    def test_share_count(self, monkeypatch, cpus, blas, shares):
+        """One share per CPU that BLAS's threads leave free, at least one
+        and at most ``_MAX_SHARES``; BLAS takes every CPU unless a thread
+        variable holds a positive count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        for var in ad._BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas)
+        assert ad._share_count() == shares
+
+    def test_backward_transient_bound_on_many_cpus(self, monkeypatch, share_count):
+        """With 64 usable CPUs and one BLAS thread, attention cuts its units
+        into ``_MAX_SHARES`` shares, and the backward's transient stays below
+        one [B, L, L] array at B=16, L=256, as with one share."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        for var in ad._BLAS_VARS:
+            monkeypatch.setenv(var, "1")
+        assert ad._share_count() == ad._MAX_SHARES == 2
+        share_count(ad._share_count())
+        self.test_backward_transient_below_one_score_array()
+
+    def test_imports_without_affinity_or_fork_hooks(self):
+        """Where ``os`` has no ``sched_getaffinity`` or ``register_at_fork``
+        (macOS, Windows), the module imports and counts CPUs by
+        ``os.cpu_count``."""
+        code = ("import os\n"
+                "for name in ('sched_getaffinity', 'register_at_fork'):\n"
+                "    if hasattr(os, name):\n"
+                "        delattr(os, name)\n"
+                "os.cpu_count = lambda: 64\n"
+                "os.environ['OMP_NUM_THREADS'] = '1'\n"
+                "from hydroforecast import autodiff\n"
+                "print(autodiff._WORKERS)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+        env = {k: v for k, v in os.environ.items() if k not in ad._BLAS_VARS}
+        env["PYTHONPATH"] = src
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(ad._MAX_SHARES)]
 
     def test_shape_errors(self, rng):
         attn = MultiHeadSelfAttention(4, 2, rng)
