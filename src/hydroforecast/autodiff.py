@@ -54,6 +54,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import THREAD_VARS
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
@@ -113,35 +115,8 @@ class Tensor:
             out.op = op
         return out
 
-    # ---- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return take(self, index)
-
-    def backward(self, seed=None) -> None:
-        backward(self, seed=seed)
 
 
 def _wrap(x) -> Tensor:
@@ -441,18 +416,16 @@ _MAX_SHARES = 2
 cut measured. Each share holds its own tile buffers, two in the VJP, so
 this also bounds attention's scratch whatever the CPU count."""
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _share_count() -> int:
     """One share per CPU this process may run on that BLAS's threads leave
     free, at least one and at most ``_MAX_SHARES``: a share beside two BLAS
     threads on two CPUs made Task 2 training slower. BLAS takes every CPU
-    unless one of ``_BLAS_VARS`` sets its threads; like numpy, this reads
+    unless one of ``THREAD_VARS`` sets its threads; like numpy, this reads
     them when the module is imported."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
+    blas = next((int(v) for v in map(os.environ.get, THREAD_VARS)
                  if v and v.isdigit() and int(v) > 0), cpus)
     return max(1, min(_MAX_SHARES, cpus // blas))
 

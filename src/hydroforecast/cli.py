@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import THREAD_VARS
 from .fileio import atomic_write
 
 EXIT_OK = 0
@@ -27,7 +28,6 @@ EXIT_DIVERGED = 4
 EXIT_CORRUPT = 5
 
 MODEL_FLAGS = {"attention-ode": "attention", "mlp-ode": "mlp", "lstm": "lstm-baseline"}
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # flag domains, each a test and what it asks for; build_parser gives each
 # subcommand its own, and _resolve checks flag and config file values alike
@@ -36,7 +36,7 @@ POSITIVE = (lambda v: 0 < v < math.inf, "a finite number above 0")
 SEED = (lambda v: v >= 0, "a non-negative integer")  # numpy's seed domain
 
 # what a parsed namespace holds besides the settings that the config echo lists
-NOT_SETTINGS = ("command", "config", "func", "domains")
+NOT_SETTINGS = ("command", "config", "func", "domains", "parser")
 
 
 class CliError(Exception):
@@ -45,17 +45,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return commands.choices[name]
-
-
 def _resolve(parser: argparse.ArgumentParser, argv, args: argparse.Namespace):
     """defaults <- config file <- flags: a config file's values become its
     subcommand's defaults, and ``argv`` is parsed again over them. Every final
     value is then checked against its flag's choices and domain, whatever its
     source."""
-    sub = _command_parser(parser, args.command)
+    sub = args.parser
     # main() applies --threads before numpy loads, so no config file sets it
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config", "threads")}
     if args.config:
@@ -383,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="BLAS and OpenMP threads, set before numpy loads")
         p.add_argument("--out")
-        p.set_defaults(func=func, domains={"seed": SEED, **domains})
+        p.set_defaults(func=func, domains={"seed": SEED, **domains}, parser=p)
         return p
 
     p = command("gen-data", cmd_gen_data, "generate a synthetic dataset", split_seed=SEED)

@@ -10,7 +10,6 @@ Reports land as results.csv, results.json, and static SVG overlays.
 from __future__ import annotations
 
 import json
-import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,20 +36,6 @@ class MetricsReport:
                         (self.rmse,) + self.rmse_per_axis):
             if not (r >= m >= 0.0):
                 raise ValueError(f"power-mean violation: rmse {r} < mae {m}")
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    mean_ms: float
-    median_ms: float
-    p95_ms: float
-    repeats: int
-    warmup: int
-    hardware: str
-
-    def __post_init__(self):
-        if self.p95_ms < self.median_ms:
-            raise ValueError("p95 must be >= median")
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
@@ -84,21 +69,17 @@ def compute_metrics_reference(pred: np.ndarray, truth: np.ndarray) -> tuple[floa
 
 
 def time_inference(model: ForecastModel, x: np.ndarray, f0: np.ndarray,
-                   repeats: int = 100, warmup: int = 10) -> TimingReport:
+                   repeats: int = 100, warmup: int = 10) -> float:
+    """Mean wall-clock ms of ``repeats`` forecasts, after ``warmup`` untimed ones."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     xt, f0t = Tensor(x), Tensor(f0)
     for _ in range(warmup):
         model.predict_forces(xt, f0t)
-    samples = []
+    start = time.perf_counter()
     for _ in range(repeats):
-        start = time.perf_counter()
         model.predict_forces(xt, f0t)
-        samples.append((time.perf_counter() - start) * 1000.0)
-    arr = np.asarray(samples)
-    return TimingReport(mean_ms=float(arr.mean()), median_ms=float(np.median(arr)),
-                        p95_ms=float(np.percentile(arr, 95)), repeats=repeats,
-                        warmup=warmup, hardware=platform.processor() or platform.machine())
+    return (time.perf_counter() - start) * 1000.0 / repeats
 
 
 # ---- benchmark -----------------------------------------------------------
@@ -183,7 +164,7 @@ def _bench_one(encoder: str, solver: str, ds: TrajectoryDataset, task: str,
         if time_it:
             cell.time_ms_mean = time_inference(model, x[:1], f0[:1],
                                                repeats=preset["timing_repeats"],
-                                               warmup=2).mean_ms
+                                               warmup=2)
     except Exception as e:  # a failed cell is recorded, the run continues
         cell.failure = f"{type(e).__name__}: {e}"
     return cell

@@ -490,8 +490,11 @@ def load_dataset(indir) -> TrajectoryDataset:
         raise ValueError(f"{manifest_path}: f0 or oracle_params is malformed: {e!r}") from None
     if f0.shape != (m, f) or not np.all(np.isfinite(f0)):
         raise ValueError(f"{manifest_path}: f0 is not a finite {m}x{f} array")
-    times, x, forces = (np.ascontiguousarray(table[..., c])
-                        for c in (0, slice(1, 1 + n), slice(1 + n, -1)))
+    # conditions and forces are views of the table, so a load holds it once;
+    # times is a contiguous copy, which (unlike a strided column) can be
+    # viewed as raw bytes
+    times = np.ascontiguousarray(table[..., 0])
+    x, forces = table[..., 1:1 + n], table[..., 1 + n:-1]
     directions = manifest.get("directions") or [None] * m
     records = [TrajectoryRecord(*fields) for fields in zip(
         times, x, forces, f0, table[..., -1].astype(np.int64), directions)]

@@ -297,6 +297,8 @@ def checkpoint_load(path) -> ForecastModel:
         if model.params[name].shape != tuple(shape):
             raise CheckpointError(f"tensor {name!r} shape {tuple(shape)} != "
                                   f"expected {model.params[name].shape}")
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"tensor {name!r} has non-finite values")
         model.params[name].data = np.array(data, dtype=np.float64)
         loaded.add(name)
     missing = set(model.params.names()) - loaded

@@ -328,19 +328,3 @@ def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: T
         for name, t, g in saved:
             t.grad = g
     return pgrads, a
-
-
-def convergence_slope(solver: str, rates: Sequence[float] = (0.1, 0.05, 0.025)) -> float:
-    """Empirical log-log order of the global error for dF/dt = -F on [0, 1]."""
-    errors = []
-    for dt in rates:
-        steps = int(round(1.0 / dt))
-        grid = TimeGrid(0.0, dt, steps)
-        controls = Tensor(np.zeros((steps, 1)))
-        traj = integrate(solver, Tensor(np.array([1.0])),
-                         lambda s, c, t: ad.scale(s, -1.0), grid, controls)
-        errors.append(abs(traj.data[-1, 0] - np.exp(-1.0)))
-    logs_dt = np.log(np.asarray(rates))
-    logs_err = np.log(np.asarray(errors))
-    slope, _ = np.polyfit(logs_dt, logs_err, 1)
-    return float(slope)

@@ -6,10 +6,33 @@ import zlib
 import numpy as np
 import pytest
 
+from hydroforecast import autodiff as ad
+from hydroforecast.autodiff import Tensor
+from hydroforecast.odeint import TimeGrid, integrate
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _convergence_slope(solver, rates=(0.1, 0.05, 0.025)):
+    """Empirical log-log order of the global error for dF/dt = -F on [0, 1]."""
+    errors = []
+    for dt in rates:
+        steps = int(round(1.0 / dt))
+        controls = Tensor(np.zeros((steps, 1)))
+        traj = integrate(solver, Tensor(np.array([1.0])),
+                         lambda s, c, t: ad.scale(s, -1.0), TimeGrid(0.0, dt, steps),
+                         controls)
+        errors.append(abs(traj.data[-1, 0] - np.exp(-1.0)))
+    slope, _ = np.polyfit(np.log(np.asarray(rates)), np.log(np.asarray(errors)), 1)
+    return float(slope)
+
+
+@pytest.fixture
+def convergence_slope():
+    return _convergence_slope
 
 
 def _reseal_checkpoint(path, edit_config=None, edit_first=None):

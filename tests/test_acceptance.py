@@ -25,8 +25,7 @@ from hydroforecast.hydrodata import (OracleParams, TowingCondition, generate,
                                      split_dataset, steady_wrench)
 from hydroforecast.layers import MLPBlock, collect_params
 from hydroforecast.models import ModelConfig, build_model
-from hydroforecast.odeint import (TimeGrid, adjoint_backward, convergence_slope,
-                                  integrate)
+from hydroforecast.odeint import TimeGrid, adjoint_backward, integrate
 from hydroforecast.training import TrainConfig, mse_loss, train
 
 CLI = [sys.executable, "-m", "hydroforecast.cli"]
@@ -60,7 +59,7 @@ def test_criterion_1_integrator_accuracy():
                   f"(<{2 * 1.85e-3:.2e}), {elapsed:.2f} s")
 
 
-def test_criterion_2_convergence_order():
+def test_criterion_2_convergence_order(convergence_slope):
     start = time.perf_counter()
     s_euler = convergence_slope("euler", (0.1, 0.05, 0.025))
     s_rk4 = convergence_slope("rk4", (0.1, 0.05, 0.025))

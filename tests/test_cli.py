@@ -281,7 +281,7 @@ class TestDeclaredChoices:
 
     @staticmethod
     def choices(command, dest):
-        parser = cli._command_parser(cli.build_parser(), command)
+        parser = cli.build_parser().parse_args([command]).parser
         (action,) = [a for a in parser._actions if a.dest == dest]
         return action.choices
 
@@ -615,6 +615,19 @@ class TestPredictEval:
                     "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
         assert r.returncode == 5
         assert "corrupt" in r.stderr.lower() and key in r.stderr
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_weight_exit_5(self, checkpoint, dataset_dir, tmp_path, command):
+        model = checkpoint_load(checkpoint)
+        model.params["kernel.layer0.weight"].data[0, 0] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        checkpoint_save(model, bad)
+        r = run_cli(command, "--checkpoint", str(bad),
+                    "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
+        assert r.returncode == 5
+        assert "corrupt" in r.stderr.lower() and "kernel.layer0.weight" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "p").exists()
 
     def test_malformed_header_exit_5(self, checkpoint, dataset_dir, tmp_path,
                                      reseal_checkpoint):

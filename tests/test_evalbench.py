@@ -81,19 +81,17 @@ TINY = ModelConfig(encoder="mlp", n_in=4, f_out=2, d_model=8, latent=8,
 
 
 class TestTiming:
-    def test_report_fields(self, rng):
+    def test_mean_positive(self, rng):
         model = build_model(TINY)
-        rep = time_inference(model, rng.normal(size=(1, 10, 4)),
-                             rng.normal(size=(1, 2)), repeats=3, warmup=1)
-        assert rep.repeats == 3 and rep.warmup == 1
-        assert rep.hardware != ""
-        assert rep.p95_ms >= rep.median_ms > 0.0
+        mean_ms = time_inference(model, rng.normal(size=(1, 10, 4)),
+                                 rng.normal(size=(1, 2)), repeats=3, warmup=1)
+        assert isinstance(mean_ms, float) and mean_ms > 0.0
 
     def test_single_repeat_degenerate(self, rng):
         model = build_model(TINY)
-        rep = time_inference(model, rng.normal(size=(1, 5, 4)),
-                             rng.normal(size=(1, 2)), repeats=1, warmup=0)
-        assert rep.mean_ms == rep.median_ms == rep.p95_ms
+        mean_ms = time_inference(model, rng.normal(size=(1, 5, 4)),
+                                 rng.normal(size=(1, 2)), repeats=1, warmup=0)
+        assert mean_ms > 0.0
 
     def test_longer_sequence_slower(self, rng):
         model = build_model(TINY)
@@ -101,7 +99,7 @@ class TestTiming:
                                rng.normal(size=(1, 2)), repeats=5, warmup=1)
         long = time_inference(model, rng.normal(size=(1, 200, 4)),
                               rng.normal(size=(1, 2)), repeats=5, warmup=1)
-        assert long.mean_ms > short.mean_ms
+        assert long > short
 
     def test_invalid_repeats(self, rng):
         model = build_model(TINY)

@@ -527,7 +527,7 @@ class TestAttention:
         variable holds a positive count."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        for var in ad._BLAS_VARS:
+        for var in ad.THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         if blas is not None:
             monkeypatch.setenv("OMP_NUM_THREADS", blas)
@@ -539,7 +539,7 @@ class TestAttention:
         one [B, L, L] array at B=16, L=256, as with one share."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
-        for var in ad._BLAS_VARS:
+        for var in ad.THREAD_VARS:
             monkeypatch.setenv(var, "1")
         assert ad._share_count() == ad._MAX_SHARES == 2
         share_count(ad._share_count())
@@ -558,7 +558,7 @@ class TestAttention:
                 "from hydroforecast import autodiff\n"
                 "print(autodiff._WORKERS)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
-        env = {k: v for k, v in os.environ.items() if k not in ad._BLAS_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in ad.THREAD_VARS}
         env["PYTHONPATH"] = src
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)

@@ -413,6 +413,18 @@ class TestDiskFormat:
             assert np.array_equal(rows[:, 1 + ds.n:-1], rec.forces)
             assert np.array_equal(rows[:, -1], rec.condition_ids)
 
+    def test_loaded_records_view_one_table(self, tmp_path):
+        """A load holds the table once: each record's conditions and forces are
+        views of it, and only times is a (contiguous) copy."""
+        ds = gen_task1("switching", num_conditions=3)
+        save_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        table = loaded.records[0].forces.base  # the array that owns the table's data
+        assert table.nbytes == 3 * ds.length * (2 + ds.n + ds.f) * 8
+        for rec in loaded.records:
+            assert rec.forces.base is table and rec.conditions.base is table
+            assert rec.times.flags.c_contiguous and not np.shares_memory(rec.times, table)
+
     def test_manifest_holds_f0_and_directions(self, tmp_path):
         ds = gen_task1("switching", num_conditions=3)
         save_dataset(ds, tmp_path)

@@ -307,6 +307,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        model = build_model(TINY)
+        model.params["kernel.layer0.bias"].data[-1] = value
+        path = tmp_path / "model.ckpt"
+        checkpoint_save(model, path)
+        with pytest.raises(CheckpointError, match="kernel.layer0.bias.*non-finite"):
+            checkpoint_load(path)
+
     def test_normalizer_round_trip(self, tmp_path):
         model = build_model(TINY)
         model.x_mean, model.x_std = np.array([1.0, -2.0, 0.0, 3.0]), np.full(4, 0.5)

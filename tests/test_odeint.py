@@ -11,7 +11,6 @@ from hydroforecast.odeint import (
     MLPKernel,
     TimeGrid,
     adjoint_backward,
-    convergence_slope,
     integrate,
 )
 
@@ -133,10 +132,10 @@ class TestMLPKernelSolve:
 
 
 class TestConvergence:
-    def test_euler_first_order(self):
+    def test_euler_first_order(self, convergence_slope):
         assert convergence_slope("euler") == pytest.approx(1.0, abs=0.1)
 
-    def test_rk4_fourth_order(self):
+    def test_rk4_fourth_order(self, convergence_slope):
         assert convergence_slope("rk4") == pytest.approx(4.0, abs=0.3)
 
 
