@@ -7,7 +7,8 @@ The pairs alternate which side goes first, so a drift in the machine's speed
 falls on both sides alike. The result is written to ``BENCH_<topic>.json``:
 every pair's end-to-end metrics, the medians over pairs, head/base ratios,
 the base runs' quartile distance, how many pairs the head won, the
-environment, and each checkout's git SHA and a digest of its ``src/``.
+environment, and each checkout's git SHA, a digest of its ``src/`` and the
+threads its attention runs on under perfbench's thread settings.
 
     python scripts/bench_pairs.py --base ../parent --head . --topic fused_solve \\
         --workloads task2-forecast,task2-train --seeds 1-5 --pairs 5 --seconds 20
@@ -56,6 +57,26 @@ def src_digest(root: Path) -> str:
     for path in sorted((root / "src").rglob("*.py")):
         h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+# autodiff._WORKERS in a checkout, with the BLAS thread variables set as
+# perfbench/run.py sets them before numpy loads; 1 where the name is absent
+WORKERS_PROBE = """
+import os, runpy, sys
+run = runpy.run_path("perfbench/run.py")
+for var in run["THREAD_VARS"]:
+    os.environ[var] = str(run["THREADS"])
+sys.path.insert(0, "src")
+from hydroforecast import autodiff
+print(getattr(autodiff, "_WORKERS", 1))
+"""
+
+
+def attention_workers(root: Path) -> int:
+    """The threads a checkout's attention runs on in a perfbench run."""
+    proc = subprocess.run([sys.executable, "-c", WORKERS_PROBE], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
 
 
 def cpu_model() -> str:
@@ -134,7 +155,8 @@ def main() -> int:
                        str(args.pairs), "--seconds", args.seconds],
            "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
            "seconds": float(args.seconds),
-           "checkouts": {side: {**git_state(root), "src_sha256": src_digest(root)}
+           "checkouts": {side: {**git_state(root), "src_sha256": src_digest(root),
+                                "attention_workers": attention_workers(root)}
                          for side, root in sides.items()},
            "machine": {"cpu": cpu_model(), "platform": platform.platform()},
            "environment": None, "workloads": {}}

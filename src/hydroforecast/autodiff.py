@@ -4,8 +4,7 @@ Tensors wrap float64 numpy arrays and record a define-by-run tape through
 parent pointers. Calling ``backward`` on a scalar walks the tape in reverse
 topological order and accumulates gradients (+=) into the ``.grad`` of every
 reachable leaf with ``requires_grad``. Binary elementwise ops require exactly
-matching shapes or a scalar operand; anything else must be expanded
-explicitly with ``expand``.
+matching shapes; anything else must be expanded explicitly with ``expand``.
 
 Each node's VJP maps the gradient of its output to one gradient per parent:
 a dense array shaped like the parent, or, for ``take``, a ``_Scatter`` record
@@ -123,22 +122,16 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _is_scalar(t: Tensor) -> bool:
-    return t.data.ndim == 0
-
-
 def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and not _is_scalar(a) and not _is_scalar(b):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match "
-                         "(only scalar broadcast is allowed)")
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to ``shape`` (undo scalar/batch broadcast)."""
+    """Sum a gradient down to ``shape``, undoing a broadcast over leading or
+    size-1 axes (``expand``, or a matmul's batch axes)."""
     if grad.shape == shape:
         return grad
-    if shape == ():
-        return grad.sum()
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -155,28 +148,21 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_binary(a, b, "add")
     out = a.data + b.data
-    return Tensor._make(out, (a, b),
-                        lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)),
-                        "add")
+    return Tensor._make(out, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_binary(a, b, "sub")
     out = a.data - b.data
-    return Tensor._make(out, (a, b),
-                        lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)),
-                        "sub")
+    return Tensor._make(out, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_binary(a, b, "mul")
     out = a.data * b.data
-    return Tensor._make(out, (a, b),
-                        lambda g: (_reduce_to(g * b.data, a.shape),
-                                   _reduce_to(g * a.data, b.shape)),
-                        "mul")
+    return Tensor._make(out, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -722,15 +708,13 @@ def _accumulate(grads: dict[int, np.ndarray], owned: set[int], p: Tensor, pg) ->
         grads[key] += pg
 
 
-def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
+def backward(loss: Tensor, seed=None) -> None:
     """Reverse-mode sweep from ``loss``.
 
     Accumulates into ``.grad`` of every reachable leaf with requires_grad
-    (a copy when ``.grad`` is None, else ``.grad + g``) and returns a map
-    from ``id`` of each such leaf to this sweep's gradient of it. Interior
-    nodes' gradients are released as the sweep passes them and are not in
-    the map. ``seed`` overrides the default all-ones seed (the default
-    requires a scalar loss).
+    (a copy when ``.grad`` is None, else ``.grad + g``). Interior nodes'
+    gradients are released as the sweep passes them. ``seed`` overrides the
+    default all-ones seed (the default requires a scalar loss).
     """
     if seed is None:
         if loss.ndim != 0 and loss.size != 1:
@@ -741,7 +725,7 @@ def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
         if seed.shape != loss.shape:
             raise GraphError(f"backward: seed shape {seed.shape} != loss shape {loss.shape}")
     if not loss.requires_grad:
-        return {}
+        return
     grads: dict[int, np.ndarray] = {id(loss): seed.astype(np.float64)}
     owned: set[int] = set()
     for node in reversed(_topo(loss)):
@@ -757,7 +741,6 @@ def backward(loss: Tensor, seed=None) -> dict[int, np.ndarray]:
         for p, pg in zip(node._parents, node._vjp(g)):
             if p.requires_grad:
                 _accumulate(grads, owned, p, pg)
-    return grads
 
 
 def grad_check(function: Callable[[], Tensor], params: Iterable[Tensor],

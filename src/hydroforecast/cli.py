@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import THREAD_VARS
+from . import DEFAULT_DT, THREAD_VARS
 from .fileio import atomic_write
 
 EXIT_OK = 0
@@ -101,12 +101,12 @@ def _read_config(path: str, actions: dict) -> dict:
 def _fits(value, action: argparse.Action) -> bool:
     """Whether a config file's ``value`` is what ``action``'s flag parses to:
     an int also for a float flag, never a bool. Null stands for an unset
-    value only where the flag's default is null and it is neither a float nor
-    a choice: ``--dt`` and ``--solver`` take their defaults in the command,
-    and ``--task`` must be set."""
+    value only where the flag's default is null and it is not a choice:
+    ``--solver`` takes its default in the command, and ``--task`` must be
+    set."""
     kind = action.type or str
     if value is None:
-        return action.default is None and kind is not float and not action.choices
+        return action.default is None and not action.choices
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
@@ -145,8 +145,6 @@ def cmd_gen_data(args) -> int:
     if args.task is None:
         raise CliError("--task is required")
     out = _require_out(args)
-    if args.dt is None:  # the oracle's default; build_parser must not import numpy
-        args.dt = hd.DEFAULT_DT
     try:
         ds = hd.generate(args.task, seed=args.seed, num_trajectories=args.trajectories,
                          dt=args.dt, length=args.length)
@@ -160,7 +158,10 @@ def cmd_gen_data(args) -> int:
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     ds.splits = assignment
-    hd.save_dataset(ds, out)
+    try:
+        hd.save_dataset(ds, out)
+    except ValueError as e:  # the oracle's sensor relaxation blew up
+        raise CliError(f"--dt {args.dt:g} is too large for the oracle: {e}", EXIT_USAGE)
     _echo_config(out, args.command, vars(args))
     print(f"wrote {ds.num_trajectories} trajectories (task {args.task}, n={ds.n}, "
           f"f={ds.f}, L={ds.length}) to {out}")
@@ -285,13 +286,13 @@ def cmd_predict(args) -> int:
                 "rmse_per_axis": list(metrics.rmse_per_axis),
                 "num_samples": metrics.num_samples,
                 "split": args.split}, indent=2, sort_keys=True) + "\n")
-        labels = ([f"F{a}" for a in "xyz"[:subset.f]] if subset.f <= 3
-                  else ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])
+        labels, unit = (([f"F{a}" for a in "xyz"[:subset.f]], "N") if subset.f <= 3
+                        else (["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"], "N, N&#183;m"))
         for j, rec in enumerate(subset.records):
             evalbench.plot_trajectory_svg(
                 rec.times, forces[j], pred[j], out / f"overlay_{j:04d}.svg",
                 title=f"trajectory {j} ({args.split} split)",
-                axis_labels=labels)
+                axis_labels=labels, unit=unit)
         print(f"MAE {metrics.mae:.6g}  RMSE {metrics.rmse:.6g} "
               f"on {subset.num_trajectories} {args.split} trajectories")
     return EXIT_OK
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen-data", cmd_gen_data, "generate a synthetic dataset", split_seed=SEED)
     p.add_argument("--task", choices=["1.1", "1.2", "1.3", "2"])
     p.add_argument("--trajectories", type=int)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--length", type=int)
     p.add_argument("--split-seed", type=int)
 

@@ -122,7 +122,7 @@ SUITES = ("task1", "task2", "all")
 TASK1_ROWS = (("mlp", "euler"), ("attention", "euler"), ("mlp", "rk4"),
               ("attention", "rk4"))
 TASK2_ROWS = (("mlp", "euler"), ("attention", "euler"), ("lstm-baseline", "euler"))
-TASK1_VARIANTS = (("1.1", "S"), ("1.2", "C"), ("1.3", "N"))
+TASK1_VARIANTS = ("1.1", "1.2", "1.3")
 
 
 def _model_name(encoder: str, solver: str, with_solver: bool) -> str:
@@ -185,12 +185,12 @@ def run_benchmark(suite: str = "all", preset_name: str = "desk", seed: int = 0,
     table = BenchmarkTable(config={"suite": suite, "preset": preset_name, "seed": seed,
                                    "max_epochs": epochs})
     if suite in ("task1", "all"):
-        for task, _tag in TASK1_VARIANTS:
+        for task in TASK1_VARIANTS:
             if task not in datasets:
                 datasets[task] = generate(task, seed=seed,
                                           num_trajectories=preset["task1_conditions"])
         for encoder, solver in TASK1_ROWS:
-            for task, _tag in TASK1_VARIANTS:
+            for task in TASK1_VARIANTS:
                 table.rows.append(_bench_one(encoder, solver, datasets[task], task,
                                              preset, train_cfg, seed, time_it=False))
                 if on_row:
@@ -261,17 +261,19 @@ def emit_report(table: BenchmarkTable, outdir, include_timing: bool = True) -> l
 _AXIS_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def _polyline(xs, ys, color, dashed=False, width=1.5):
+def _polyline(xs, ys, color, dashed=False):
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
     dash = ' stroke-dasharray="6 3"' if dashed else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
+    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
             f'{dash} points="{pts}" />')
 
 
 def plot_trajectory_svg(times: np.ndarray, truth: np.ndarray, pred: np.ndarray,
                         path, title: str = "", axis_labels: list[str] | None = None,
                         unit: str = "N") -> None:
-    """Prediction-vs-truth overlay: solid truth, dashed prediction per axis."""
+    """Prediction-vs-truth overlay: solid truth, dashed prediction per axis.
+    ``unit`` is the y axis's unit, or a force's and a torque's ("N, N&#183;m")
+    when torque axes are drawn too."""
     width, height = 860, 460
     ml, mr, mt, mb = 70, 180, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
@@ -298,7 +300,8 @@ def plot_trajectory_svg(times: np.ndarray, truth: np.ndarray, pred: np.ndarray,
              f'font-size="13" text-anchor="middle">time [s]</text>',
              f'<text x="18" y="{mt + ph / 2:.0f}" font-family="sans-serif" font-size="13" '
              f'transform="rotate(-90 18 {mt + ph / 2:.0f})" '
-             f'text-anchor="middle">force [{unit}]</text>']
+             f'text-anchor="middle">{"force" if unit == "N" else "force, torque"} '
+             f'[{unit}]</text>']
     for tick in np.linspace(lo, hi, 5):
         y = sy(tick)
         parts.append(f'<line x1="{ml - 4}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" '

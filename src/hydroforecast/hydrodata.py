@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_DT
 from .fileio import atomic_write
 
-DEFAULT_DT = 0.02
+NOISE_FRACTION = 0.1  # Task 1.3's and Task 2's Gaussian noise, as a fraction of each axis's std
 SPEEDS = (0.2, 0.3, 0.4, 0.5)
 DIRECTIONS = (("X", (1.0, 0.0)),
               ("Y", (0.0, 1.0)),
@@ -202,8 +203,7 @@ def _traj_rng(seed: int, index: int, stream: int) -> np.random.Generator:
 
 
 def gen_task1(variant: str, num_conditions: int = 192, length: int | None = None,
-              dt: float = DEFAULT_DT, seed: int = 0,
-              noise_fraction: float = 0.1) -> TrajectoryDataset:
+              dt: float = DEFAULT_DT, seed: int = 0) -> TrajectoryDataset:
     """Task 1 datasets: static conditions, switching segments, or noisy switching."""
     if variant not in ("static", "switching", "noisy"):
         raise ValueError(f"unknown task 1 variant {variant!r}")
@@ -234,22 +234,22 @@ def gen_task1(variant: str, num_conditions: int = 192, length: int | None = None
                for j, ids in enumerate(cond_ids)]
     ds = TrajectoryDataset(task="1." + {"static": "1", "switching": "2", "noisy": "3"}[variant],
                            variant=variant, n=4, f=2, length=length, dt=dt, seed=seed,
-                           noise_fraction=noise_fraction if variant == "noisy" else 0.0,
+                           noise_fraction=NOISE_FRACTION if variant == "noisy" else 0.0,
                            oracle=p, records=records)
     if variant == "noisy":
-        _inject_noise(ds, seed, noise_fraction)
+        _inject_noise(ds, seed)
     return ds
 
 
-def _inject_noise(ds: TrajectoryDataset, seed: int, fraction: float) -> None:
+def _inject_noise(ds: TrajectoryDataset, seed: int) -> None:
     sigma = np.std(np.concatenate([r.forces for r in ds.records], axis=0), axis=0)
     for j, rec in enumerate(ds.records):
         rng = _traj_rng(seed, j, 1)
-        rec.forces = rec.forces + rng.normal(0.0, fraction * sigma, rec.forces.shape)
+        rec.forces = rec.forces + rng.normal(0.0, NOISE_FRACTION * sigma, rec.forces.shape)
 
 
 def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT_DT,
-              seed: int = 0, noise_fraction: float = 0.1) -> TrajectoryDataset:
+              seed: int = 0) -> TrajectoryDataset:
     """Task 2: 35-dim kinematic conditions, 6-dim wrench, segment-switched speed."""
     if length < 40:
         raise ValueError("task 2 length must be >= 40")
@@ -307,10 +307,9 @@ def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT
                                 condition_ids=cond_ids)
                for x, fr, fr0 in zip(inputs, forces, targets[:, 0])]
     ds = TrajectoryDataset(task="2", variant="task2", n=35, f=6, length=length, dt=dt,
-                           seed=seed, noise_fraction=noise_fraction, oracle=p,
+                           seed=seed, noise_fraction=NOISE_FRACTION, oracle=p,
                            records=records)
-    if noise_fraction > 0:
-        _inject_noise(ds, seed, noise_fraction)
+    _inject_noise(ds, seed)
     return ds
 
 
@@ -388,6 +387,13 @@ def _table_name(table: np.ndarray) -> str:
     return f"trajectories_{zlib.crc32(np.ascontiguousarray(table)):08x}.npy"
 
 
+def _check_table(table: np.ndarray, path: Path, shape: tuple[int, ...]) -> None:
+    """Refuse a table that is not a finite float64 array of ``shape``."""
+    if table.dtype != np.float64 or table.shape != shape or not np.all(np.isfinite(table)):
+        raise ValueError(f"table {path} is not a finite float64 {'x'.join(map(str, shape))} "
+                         f"array (got {table.dtype} {table.shape})")
+
+
 def save_dataset(ds: TrajectoryDataset, outdir) -> None:
     """Write one float64 [M, L, 2+n+f] table, then ``manifest.json``.
 
@@ -396,12 +402,15 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
     so the live manifest's table is never overwritten by other data; the new
     manifest, which names the table and holds f0 and the directions, replaces
     the old one in one step, so a save cut short leaves the old dataset whole.
+    A table with a non-finite value, which ``load_dataset`` would refuse,
+    raises ``ValueError`` before anything is written.
     """
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     table = np.stack([np.column_stack([r.times, r.conditions, r.forces, r.condition_ids])
                       for r in ds.records])
     name = _table_name(table)
+    _check_table(table, out / name, table.shape)
+    out.mkdir(parents=True, exist_ok=True)
     with atomic_write(out / name, "wb") as fh:
         np.save(fh, table, allow_pickle=False)
     manifest = {
@@ -475,10 +484,7 @@ def load_dataset(indir) -> TrajectoryDataset:
             table = np.load(fh, allow_pickle=False)
     except (ValueError, MemoryError) as e:  # MemoryError: a header claiming a huge shape
         raise ValueError(f"table {path} is not a readable .npy file: {e}") from None
-    if (table.dtype != np.float64 or table.shape != (m, length, 2 + n + f)
-            or not np.all(np.isfinite(table))):
-        raise ValueError(f"table {path} is not a finite float64 {m}x{length}x{2 + n + f} "
-                         f"array (got {table.dtype} {table.shape})")
+    _check_table(table, path, (m, length, 2 + n + f))
     if _table_name(table) != path.name:
         raise ValueError(f"table {path}: its data does not match the CRC32 in its name")
     if np.any(table[..., -1] != np.trunc(table[..., -1])):

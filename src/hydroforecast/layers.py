@@ -42,9 +42,6 @@ class ParamRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
+from . import DEFAULT_DT, autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .fileio import atomic_write
 from .layers import (LSTMStack, LinearLayer, MLPBlock, MultiHeadSelfAttention,
@@ -43,7 +43,7 @@ class ModelConfig:
     latent: int = 64
     kernel_hidden: tuple[int, ...] = (64, 64, 64)
     solver: str = "euler"
-    dt: float = 0.02
+    dt: float = DEFAULT_DT
     lstm_hidden: int = 64
     lstm_layers: int = 2
     seed: int = 0
@@ -73,8 +73,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["kernel_hidden"] = tuple(d.get("kernel_hidden", (64, 64, 64)))
         return cls(**d)
 
 

@@ -68,10 +68,6 @@ class MLPKernel:
         return ad.mlp((state, control), self.weights, self.biases)
 
 
-def _control_at(controls: Tensor, i: int) -> Tensor:
-    return controls[(Ellipsis, i, slice(None))]
-
-
 def _check_solve(solver: str, controls: Tensor, grid: TimeGrid) -> None:
     if solver not in _STAGES:
         raise ValueError(f"unknown solver {solver!r} (euler or rk4)")
@@ -169,7 +165,7 @@ def integrate(solver: str, f0: Tensor, kernel: Kernel, grid: TimeGrid,
     state = f0
     out = []
     for i in range(grid.steps):
-        state = _taped_step(solver, state, kernel, _control_at(controls, i), grid, i)
+        state = _taped_step(solver, state, kernel, controls[..., i, :], grid, i)
         out.append(state)
     return _stack_states(out)
 
@@ -215,8 +211,6 @@ def _mlp_solve(solver: str, f0: Tensor, kernel: MLPKernel, grid: TimeGrid,
         inp[..., f:] = controls.data[..., i, :]  # held across the step's stages
         s = _step(solver, s, field, _np_axpy, _update, dt)
         out[..., i, :] = s
-    if not track:
-        return Tensor(out)
 
     def vjp(g):
         """Reverse the evaluations in blocks of ``BLOCK``, last block first.
@@ -314,7 +308,7 @@ def adjoint_backward(trajectory: np.ndarray, f0: Tensor, kernel: Kernel, grid: T
             t.grad = None
         for i in range(grid.steps - 1, -1, -1):
             s = Tensor(trajectory[..., i - 1, :] if i > 0 else f0.data, requires_grad=True)
-            c = Tensor(_control_at(controls, i).data)
+            c = Tensor(controls.data[..., i, :])
             nxt = _taped_step(solver, s, kernel, c, grid, i)
             ad.backward(nxt, seed=a)
             a = s.grad.copy()

@@ -83,10 +83,9 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 
 def adam_step(model: ForecastModel, grads: dict[str, np.ndarray], state: AdamState,
-              cfg: TrainConfig, lr: float | None = None) -> None:
-    """One Adam step on the parameters named in ``grads``; the others stay."""
-    if lr is None:
-        lr = cfg.learning_rate
+              cfg: TrainConfig, lr: float) -> None:
+    """One Adam step at rate ``lr`` on the parameters named in ``grads``; the
+    others stay."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import hydroforecast
 from hydroforecast import autodiff, cli, evalbench, hydrodata, models, odeint
 from hydroforecast.models import checkpoint_load, checkpoint_save
 
@@ -230,6 +231,15 @@ class TestConfigFile:
         assert f"{name} must be at least 1, got 0" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_dt_that_overflows_the_oracle_exit_2(self, tmp_path):
+        # the sensor relaxation's RK4 substeps are unstable at this dt
+        r = run_cli("gen-data", "--task", "2", "--trajectories", "10", "--dt", "3",
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert "--dt 3 is too large" in r.stderr and "not a finite" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_length_beyond_c_long_exit_2(self, tmp_path):
         r = run_cli("gen-data", "--task", "1.1", "--length", str(10 ** 30),
                     "--out", str(tmp_path / "o"))
@@ -301,6 +311,12 @@ class TestDeclaredChoices:
 
     def test_suites(self):
         assert tuple(self.choices("bench", "suite")) == evalbench.SUITES
+
+    def test_dt_default(self):
+        parser = cli.build_parser().parse_args(["gen-data"]).parser
+        (action,) = [a for a in parser._actions if a.dest == "dt"]
+        assert action.default == hydroforecast.DEFAULT_DT == models.ModelConfig().dt
+        assert hydrodata.generate("1.1", num_trajectories=1, length=2).dt == action.default
 
     def test_tasks_generate(self):
         for task in self.choices("gen-data", "task"):
@@ -592,6 +608,20 @@ class TestPredictEval:
                         "--threads", "1", "--out", str(tmp_path / tag))
             assert r.returncode == 0, r.stderr
         assert_dirs_equal(tmp_path / "a", tmp_path / "b")
+
+    def test_task2_overlay_names_torque_unit(self, tmp_path, monkeypatch):
+        ds = hydrodata.generate("2", num_trajectories=10, length=40)
+        ds.splits = hydrodata.split_dataset(ds)[3]
+        hydrodata.save_dataset(ds, tmp_path / "data")
+        model = models.build_model(models.ModelConfig(
+            encoder="mlp", n_in=35, f_out=6, d_model=4, latent=4, kernel_hidden=(4,)))
+        checkpoint_save(model, tmp_path / "m.ckpt")
+        assert main_in_process(monkeypatch, "eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                               "--data", str(tmp_path / "data"),
+                               "--out", str(tmp_path / "e")) == 0
+        svg = (tmp_path / "e" / "overlay_0000.svg").read_text()
+        assert "force, torque [N, N&#183;m]" in svg and "force [N]" not in svg
+        assert "Tz truth" in svg
 
     def test_corrupt_checkpoint_exit_5(self, checkpoint, dataset_dir, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -231,6 +232,16 @@ class TestSvg:
         text = path.read_text()
         assert "time [s]" in text and "force [N]" in text
         assert "Fx truth" in text and "Fy pred" in text
+
+    def test_force_overlay_bytes_fixed(self, tmp_path):
+        """A force-only overlay's bytes, as they were before the torque unit."""
+        k = np.arange(30)
+        truth = np.column_stack([k % 7 - 3.0, (k % 5) * 0.5])
+        path = tmp_path / "o.svg"
+        plot_trajectory_svg(0.02 * (k + 1), truth, truth + 0.25, path,
+                            title="trajectory 0 (test split)", axis_labels=["Fx", "Fy"])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9a49715613e8543fc12d0fe7267210eb2218305f6d71c8cdd5976ea4b605fefc")
 
     def test_deterministic_bytes(self, tmp_path, rng):
         times = 0.02 * np.arange(1, 21)

@@ -157,7 +157,7 @@ class TestBatchedOracle:
             records.append(dataclasses.replace(rec, forces=forces[:, :ds.f], f0=f0[:ds.f]))
         ref = dataclasses.replace(ds, records=records)
         if ds.noise_fraction > 0:
-            _inject_noise(ref, ds.seed, ds.noise_fraction)
+            _inject_noise(ref, ds.seed)
         return ref
 
     @pytest.mark.parametrize("task,m,length", [("1.1", 6, 30), ("1.2", 6, 50),
@@ -289,7 +289,7 @@ class TestTask2:
 
     def test_no_trajectories_rejected(self):
         with pytest.raises(ValueError, match="at least one trajectory"):
-            gen_task2(num_trajectories=0, length=40, noise_fraction=0.0)
+            gen_task2(num_trajectories=0, length=40)
 
     def test_quaternion_is_unit(self):
         ds = gen_task2(num_trajectories=2, length=100)
@@ -309,7 +309,7 @@ class TestTask2:
         assert np.all(v == v[:, :1])
 
     def test_joint_velocity_consistent_with_position(self):
-        ds = gen_task2(num_trajectories=1, length=200, noise_fraction=0.0)
+        ds = gen_task2(num_trajectories=1, length=200)
         rec = ds.records[0]
         pos, vel = rec.conditions[:, :12], rec.conditions[:, 12:24]
         fd = np.gradient(pos, 0.02, axis=0)
@@ -581,6 +581,22 @@ class TestDiskFormat:
         for ra, rb in zip(old.records, loaded.records):
             for name in ("times", "conditions", "forces", "f0", "condition_ids"):
                 assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes()
+
+    def test_non_finite_table_refused_before_writing(self, tmp_path):
+        old = generate("1.1", seed=1, num_trajectories=3, length=10)
+        save_dataset(old, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        new = generate("1.1", seed=2, num_trajectories=4, length=10)
+        new.records[2].forces[5, 1] = np.nan
+        with pytest.raises(ValueError, match="is not a finite float64 4x10x8 array"):
+            save_dataset(new, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        loaded = load_dataset(tmp_path)
+        assert loaded.num_trajectories == 3
+        assert loaded.records[0].forces.tobytes() == old.records[0].forces.tobytes()
+        with pytest.raises(ValueError, match="not a finite"):
+            save_dataset(new, tmp_path / "fresh")
+        assert not (tmp_path / "fresh").exists()
 
     def test_save_over_old_dataset_leaves_one_table(self, tmp_path):
         save_dataset(generate("1.1", seed=1, num_trajectories=3, length=10), tmp_path)

@@ -211,7 +211,7 @@ class TestRegistry:
 
     def test_empty_registry(self):
         reg = ParamRegistry()
-        assert len(reg) == 0 and reg.tensors() == []
+        assert reg.names() == [] and reg.tensors() == []
 
     def test_zero_grad(self, rng):
         mlp = MLPBlock([2, 2], rng)

@@ -79,7 +79,7 @@ class TestAdam:
         before = model.params[name].data.copy()
         grads = {n: np.zeros_like(t.data) for n, t in model.params.items()}
         grads[name][0, 0] = 0.5
-        adam_step(model, grads, AdamState(), cfg)
+        adam_step(model, grads, AdamState(), cfg, cfg.learning_rate)
         delta = model.params[name].data - before
         assert delta[0, 0] == pytest.approx(-0.1, rel=1e-6)
         assert np.all(delta.ravel()[1:] == 0.0)
@@ -88,7 +88,7 @@ class TestAdam:
         model = build_model(TINY)
         before = {n: t.data.copy() for n, t in model.params.items()}
         adam_step(model, {n: np.zeros_like(t.data) for n, t in model.params.items()},
-                  AdamState(), TrainConfig())
+                  AdamState(), TrainConfig(), TrainConfig().learning_rate)
         assert all(np.array_equal(model.params[n].data, before[n]) for n in before)
 
     def test_nan_gradient_raises(self):
@@ -97,7 +97,7 @@ class TestAdam:
         bad = "kernel.layer0.bias"
         grads[bad][0] = np.nan
         with pytest.raises(DivergenceError, match=bad):
-            adam_step(model, grads, AdamState(), TrainConfig())
+            adam_step(model, grads, AdamState(), TrainConfig(), TrainConfig().learning_rate)
 
     def test_minimizes_quadratic(self):
         model = build_model(TINY)
@@ -107,7 +107,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.5, grad_clip_norm=1e9)
         for _ in range(100):
             grads = {name: 2.0 * model.params[name].data}
-            adam_step(model, grads, state, cfg)
+            adam_step(model, grads, state, cfg, cfg.learning_rate)
         assert np.max(np.abs(model.params[name].data)) < 0.5
 
     def test_partial_gradients(self):
@@ -115,7 +115,8 @@ class TestAdam:
         before = {n: t.data.copy() for n, t in model.params.items()}
         name = "kernel.layer0.weight"
         state = AdamState()
-        adam_step(model, {name: np.ones_like(before[name])}, state, TrainConfig())
+        adam_step(model, {name: np.ones_like(before[name])}, state, TrainConfig(),
+                  TrainConfig().learning_rate)
         assert set(state.m) == set(state.v) == {name}
         assert not np.array_equal(model.params[name].data, before[name])
         assert all(np.array_equal(model.params[n].data, before[n]) for n in before if n != name)
