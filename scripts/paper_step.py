@@ -9,7 +9,15 @@ BLAS thread: one untimed warm-up step, then ``REPEATS`` timed steps (their
 median is kept), then one more step under tracemalloc for the traced peak
 of forward plus backward. The process's max RSS is read at its end.
 
+With ``--base``, each figure runs ``PAIRS`` pairs of fresh processes, one
+on the base tree and one on ``--src``, alternating which goes first as
+``bench_pairs.py`` does, so that a drift in the machine's speed falls on
+both sides alike. Each figure then holds its pairs, each side's medians,
+the head/base ratios, the base runs' quartile distance and the pairs the
+head won (lower is better for all four figures).
+
     python scripts/paper_step.py                    # this checkout's src/
+    python scripts/paper_step.py --base ../parent/src   # paired against another tree
     python scripts/paper_step.py --src ../parent/src --out /tmp/BENCH_paper_parent.json
 
 The Adam step is left out: it does not depend on the batch or the horizon.
@@ -29,12 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_pairs import cpu_model, git_state, src_digest
+from bench_pairs import cpu_model, git_state, src_digest, summarise
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIGURES = [(4, 400), (8, 400), (16, 400), (4, 100), (4, 200), (4, 800)]
 REPEATS = 3  # timed steps per figure
+PAIRS = 5  # base/head pairs of processes per figure with --base
+LOWER_IS_BETTER = {name: "lower" for name in ("forward_ms", "backward_ms",
+                                              "tracemalloc_peak_mib", "max_rss_mib")}
 
 
 def measure(src: str, batch: int, length: int) -> dict:
@@ -76,10 +87,39 @@ def measure(src: str, batch: int, length: int) -> dict:
             "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
+def run_figure(src: str, batch: int, length: int) -> dict:
+    """One figure from a fresh process on ``src`` with one BLAS thread."""
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    proc = subprocess.run([sys.executable, __file__, "--src", src,
+                           "--one", str(batch), str(length)],
+                          env=env, capture_output=True, text=True, check=True)
+    row = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"{src}: batch {batch:2d} L={length:3d}: forward {row['forward_ms']:8.1f} ms, "
+          f"backward {row['backward_ms']:8.1f} ms, traced peak "
+          f"{row['tracemalloc_peak_mib']:6.1f} MiB, max RSS {row['max_rss_mib']:6.1f} MiB",
+          file=sys.stderr)
+    return {name: row[name] for name in LOWER_IS_BETTER}
+
+
+def paired_row(srcs: dict, batch: int, length: int) -> dict:
+    """``PAIRS`` alternated base/head pairs of one figure, and their summary."""
+    pairs = []
+    for p in range(PAIRS):
+        order = ("base", "head") if p % 2 == 0 else ("head", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_figure(srcs[side], batch, length)
+        pairs.append(pair)
+    return {"batch": batch, "length": length, "pairs": pairs,
+            **summarise(pairs, LOWER_IS_BETTER)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src/ directory to time (default: this checkout's)")
+    parser.add_argument("--base", type=Path,
+                        help="a src/ directory to pair against --src, figure by figure")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_paper.json")
     parser.add_argument("--one", nargs=2, type=int, metavar=("BATCH", "LENGTH"),
                         help=argparse.SUPPRESS)  # a child process's single figure
@@ -89,25 +129,24 @@ def main() -> int:
         print(json.dumps(measure(src, *args.one)))
         return 0
 
-    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    rows = []
-    for batch, length in FIGURES:
-        proc = subprocess.run([sys.executable, __file__, "--src", src,
-                               "--one", str(batch), str(length)],
-                              env=env, capture_output=True, text=True, check=True)
-        rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        print(f"batch {batch:2d} L={length:3d}: forward {rows[-1]['forward_ms']:8.1f} ms, "
-              f"backward {rows[-1]['backward_ms']:8.1f} ms, traced peak "
-              f"{rows[-1]['tracemalloc_peak_mib']:6.1f} MiB, max RSS "
-              f"{rows[-1]['max_rss_mib']:6.1f} MiB", file=sys.stderr)
-    source_root = args.src.resolve().parent
+    srcs = {"head": src}
+    if args.base:
+        srcs["base"] = str(args.base.resolve())
+        rows = [paired_row(srcs, batch, length) for batch, length in FIGURES]
+    else:
+        rows = [{"batch": batch, "length": length, **run_figure(src, batch, length)}
+                for batch, length in FIGURES]
+    checkouts = {}
+    for side, path in srcs.items():
+        root = Path(path).parent
+        checkouts[side] = {**git_state(root), "src_sha256": src_digest(root)}
     doc = {"topic": "paper",
            "command": ["python", "scripts/paper_step.py", *sys.argv[1:]],
            "started": started,
            "step": "Task 2 attention-RK4 at the paper preset: forecast and MSE loss "
                    "(forward), autodiff.backward (backward); no Adam step",
-           "checkout": {**git_state(source_root), "src_sha256": src_digest(source_root)},
+           "checkouts": checkouts,
            "machine": {"cpu": cpu_model(), "platform": platform.platform(),
                        "threads": 1, "nproc": len(os.sched_getaffinity(0)),
                        "python": platform.python_version(), "numpy": np.__version__},

@@ -12,7 +12,10 @@ a dense array shaped like the parent, or, for ``take``, a ``_Scatter`` record
 keeps one pending gradient per node. The first dense gradient to reach a
 node is kept as it comes; a second one, or any scatter record, starts a
 buffer that the sweep owns, and later gradients are added into that buffer
-in place. A node's gradient is released as soon as its VJP has run. So the
+in place. A VJP may return its parents' gradients together or yield them
+one at a time; the sweep drops a node's gradient once its VJP holds it, and
+each parent's gradient once it is added, so a VJP that yields can free what
+made one gradient before it makes the next (``attention``'s does). So the
 sweep's time and memory stay linear in the tape.
 
 One layer call, one node: fused ops with hand-written VJPs stand for whole
@@ -76,7 +79,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+        self._vjp: Callable[[np.ndarray], Iterable[np.ndarray]] | None = None
         self.op = "leaf"
 
     # ---- basic introspection -------------------------------------------
@@ -194,10 +197,15 @@ def sigmoid(a: Tensor) -> Tensor:
 def _dense_vjp(x2: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
     """Gradients of ``x2 @ w + b`` for output gradient ``g``: the input's (shaped
     as ``x2``, None unless ``need_gx``), the weight's and the bias's, the last
-    two summed over every leading axis."""
+    two summed over every leading axis. The weight's adds each leading index's
+    ``x_b.T @ g_b`` in turn, the order in which numpy sums a stack of them,
+    without holding the [..., in, out] stack."""
     g2 = g.reshape(1, -1) if g.ndim == 1 else g
     gx = np.matmul(g2, w.T) if need_gx else None
-    gw = _reduce_to(np.matmul(np.swapaxes(x2, -1, -2), g2), w.shape)
+    xs, gs = x2.reshape((-1,) + x2.shape[-2:]), g2.reshape((-1,) + g2.shape[-2:])
+    gw = np.matmul(xs[0].T, gs[0])
+    for xb, gb in zip(xs[1:], gs[1:]):
+        gw += np.matmul(xb.T, gb)
     return gx, gw, _reduce_to(g, w.shape[1:])
 
 
@@ -507,29 +515,38 @@ def _attention_forward(x: np.ndarray, heads: int, ws: Sequence[np.ndarray],
 
 def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray,
                    need_gx: bool):
-    """Gradients of ``_attention_forward`` for output gradient ``g``: the
-    input's from q, k and v in turn (each None unless ``need_gx``), and lists
-    of the weights' and the biases'. ``g`` is left intact. Runs the forward's
-    units in ``_in_shares``, each share recomputing a unit's softmax weights
-    into its own tile buffer just before reversing it."""
+    """Gradients of ``_attention_forward`` for output gradient ``g``, yielded
+    one at a time in the node's parent order: the input's from q, k and v
+    (each None unless ``need_gx``), then the weights' and the biases'. ``g``
+    is left intact. Runs the forward's units in ``_in_shares``, each share
+    taking its tile's joined-heads gradient ``g[tile] @ W_o.T`` and
+    recomputing a unit's softmax weights into its own tile buffers just
+    before reversing it. Each input gradient is made from ``gq``, ``gk`` or
+    ``gv`` just before it is yielded, and that array is then dropped."""
     q, k, v, heads, joined = cache
     length, d = q.shape[-2:]
     d_head = d // heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
-    gj, gw_o, gb_o = _dense_vjp(joined, ws[3], g, True)
-    q3, k3, v3, gj3 = (a.reshape(-1, length, d) for a in (q, k, v, gj))
-    gq, gk, gv = np.zeros_like(q3), np.zeros_like(k3), np.zeros_like(v3)
+    _, gw_o, gb_o = _dense_vjp(joined, ws[3], g, False)
+    q3, k3, v3, g3 = (a.reshape(-1, length, d) for a in (q, k, v, g))
+    grads = [np.zeros_like(q3) for _ in range(3)]  # gq, gk, gv
     units = _units(q3.shape[0], length, heads, d_head)
 
     def run(share):
+        gq, gk, gv = grads
         size = units[0][0].stop
         p_buf, gp_buf = np.empty((2, size, length, length))
+        gj_buf = np.empty((size, length, d))
         prod = np.empty((size, _ROW_BLOCK, length))
         dot = np.empty((size, length, 1))
+        tile = None
         for cols in share:
             m = cols[0].stop - cols[0].start
+            if cols[0] != tile:
+                tile = cols[0]
+                gj = np.matmul(g3[tile], ws[3].T, out=gj_buf[:m])
             p = _head_weights(q3, k3, cols, p_buf[:m])
-            gh = gj3[cols]
+            gh = gj[:, :, cols[2]]
             gp = np.matmul(gh, np.swapaxes(v3[cols], -1, -2), out=gp_buf[:m])
             gv[cols] += np.matmul(np.swapaxes(p, -1, -2), gh)
             # softmax's VJP p * (gp - sum(gp * p)), then the scale's; the row
@@ -545,9 +562,15 @@ def _attention_vjp(x: np.ndarray, cache, ws: Sequence[np.ndarray], g: np.ndarray
             gk[cols] += np.swapaxes(np.matmul(np.swapaxes(q3[cols], -1, -2), gp), -1, -2)
 
     _in_shares(units, run)
-    gxs, gws, gbs = zip(*(_dense_vjp(x, w, gi.reshape(q.shape), need_gx)
-                          for w, gi in zip(ws, (gq, gk, gv))))
-    return gxs, [*gws, gw_o], [*gbs, gb_o]
+    del g, g3
+    gws, gbs = [], []
+    for w in ws[:3]:
+        gx, gw, gb = _dense_vjp(x, w, grads.pop(0).reshape(q.shape), need_gx)
+        gws.append(gw)
+        gbs.append(gb)
+        yield gx
+        del gx
+    yield from (*gws, gw_o, *gbs, gb_o)
 
 
 def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
@@ -576,7 +599,9 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     call just before reversing it. The units run in contiguous shares, one
     per CPU that BLAS leaves free, each with its own buffers
     (``_in_shares``); no two units write the same element, so the bytes
-    are those of running them one after another.
+    are those of running them one after another. The VJP takes the joined
+    heads' gradient a tile at a time, within the units, and yields x's
+    three gradients one at a time, so that at most one of them is alive.
     """
     x = _wrap(x)
     d = x.shape[-1] if x.ndim else 0
@@ -589,11 +614,9 @@ def attention(x: Tensor, heads: int, weights: Sequence[Tensor],
     ws = [w.data for w in weights]
     y, cache = _attention_forward(x.data, heads, ws, [b.data for b in biases])
 
-    def vjp(g):
-        gxs, gws, gbs = _attention_vjp(x.data, cache, ws, g, x.requires_grad)
-        return (*gxs, *gws, *gbs)
-
-    return Tensor._make(y, (x, x, x, *weights, *biases), vjp, "attention")
+    return Tensor._make(y, (x, x, x, *weights, *biases),
+                        lambda g: _attention_vjp(x.data, cache, ws, g, x.requires_grad),
+                        "attention")
 
 
 # ---- reductions ----------------------------------------------------------
@@ -738,9 +761,14 @@ def backward(loss: Tensor, seed=None) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        pgs = iter(node._vjp(g))
+        del g  # the VJP holds what it still needs
+        for p in node._parents:  # not zip, whose reused tuple keeps the last pg
+            pg = next(pgs)
             if p.requires_grad:
                 _accumulate(grads, owned, p, pg)
+            del pg  # gone before a lazy VJP makes the next one
+        del pgs  # a tuple VJP's results, before the next node's VJP runs
 
 
 def grad_check(function: Callable[[], Tensor], params: Iterable[Tensor],

@@ -148,6 +148,8 @@ def cmd_gen_data(args) -> int:
     try:
         ds = hd.generate(args.task, seed=args.seed, num_trajectories=args.trajectories,
                          dt=args.dt, length=args.length)
+    except hd.UnstableStepError as e:
+        raise CliError(f"--dt {args.dt:g} is too large for the oracle: {e}", EXIT_USAGE)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     except (MemoryError, OverflowError) as e:  # numpy refuses an array that large
@@ -160,8 +162,8 @@ def cmd_gen_data(args) -> int:
     ds.splits = assignment
     try:
         hd.save_dataset(ds, out)
-    except ValueError as e:  # the oracle's sensor relaxation blew up
-        raise CliError(f"--dt {args.dt:g} is too large for the oracle: {e}", EXIT_USAGE)
+    except ValueError as e:  # a table that is not finite
+        raise CliError(str(e), EXIT_USAGE)
     _echo_config(out, args.command, vars(args))
     print(f"wrote {ds.num_trajectories} trajectories (task {args.task}, n={ds.n}, "
           f"f={ds.f}, L={ds.length}) to {out}")

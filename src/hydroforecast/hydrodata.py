@@ -32,6 +32,15 @@ JOINT_LIMIT = 2.6
 JOINT_GRID_SIZE = 4
 SEGMENT_LEN = 10
 RELAX_SUBSTEPS = 4  # RK4 substeps per sample period of the sensor relaxation
+RK4_STABLE_STEP = 2.785293563405282
+"""The largest ``h / tau`` at which an RK4 substep does not amplify the
+relaxation ``dw/dt = (s - w) / tau``: the real root of
+``1 - z + z^2/2 - z^3/6 + z^4/24 = 1``. Beyond it the forces grow without
+bound, finite for a while (dt 2.3 gives 1e92 N at ``tau_relax`` 0.2)."""
+
+
+class UnstableStepError(ValueError):
+    """A sample period at which the sensor relaxation's RK4 substeps diverge."""
 
 
 @dataclass(frozen=True)
@@ -321,6 +330,12 @@ def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
     """Dispatch by task tag: 1.1, 1.2, 1.3, or 2."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number above 0, got {dt!r}")
+    tau = OracleParams().tau_relax
+    limit = RK4_STABLE_STEP * tau * RELAX_SUBSTEPS
+    if dt > limit:
+        raise UnstableStepError(
+            f"dt {dt:g} is above {limit:.4g}, the stability limit of the sensor "
+            f"relaxation's RK4 ({RELAX_SUBSTEPS} substeps a sample, tau_relax {tau:g})")
     for name, count in (("num_trajectories", num_trajectories), ("length", length)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")

@@ -236,7 +236,7 @@ class TestConfigFile:
         r = run_cli("gen-data", "--task", "2", "--trajectories", "10", "--dt", "3",
                     "--out", str(tmp_path / "o"))
         assert r.returncode == 2
-        assert "--dt 3 is too large" in r.stderr and "not a finite" in r.stderr
+        assert "--dt 3 is too large" in r.stderr and "stability limit" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "o").exists()
 

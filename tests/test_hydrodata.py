@@ -12,6 +12,7 @@ import pytest
 from hydroforecast.hydrodata import (
     OracleParams,
     TowingCondition,
+    UnstableStepError,
     _inject_noise,
     gen_task1,
     gen_task2,
@@ -335,6 +336,16 @@ class TestGenerateDispatch:
     def test_dt_not_finite_positive(self, task, dt):
         with pytest.raises(ValueError, match="dt must be a finite number above 0"):
             generate(task, num_trajectories=2, length=5, dt=dt)
+
+    @pytest.mark.parametrize("task", ["1.2", "2"])
+    def test_dt_beyond_relaxation_stability_limit(self, task):
+        """The sensor relaxation's RK4 substeps are stable up to dt 2.228 at
+        tau_relax 0.2: there the forces stay below 30 N. Just beyond it they
+        grow huge but finite (about 1e28 N at dt 2.25), so such a dt is refused."""
+        ds = generate(task, num_trajectories=2, length=40, dt=2.228)
+        assert max(np.abs(r.forces).max() for r in ds.records) < 100
+        with pytest.raises(UnstableStepError, match=r"dt 2\.25 is above 2\.228"):
+            generate(task, num_trajectories=2, length=40, dt=2.25)
 
     @pytest.mark.parametrize("task", ["1.1", "1.2", "2"])
     @pytest.mark.parametrize("name", ["num_trajectories", "length"])
