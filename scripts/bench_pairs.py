@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -36,6 +37,16 @@ WORKLOADS = ("task1-train", "task2-train", "task2-forecast")
 def seed_list(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
+
+
+def positive_seconds(text: str) -> str:
+    """``text`` as given, once it reads as a finite number of seconds above 0."""
+    try:
+        if 0 < float(text) < math.inf:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
 
 
 def git_state(root: Path) -> dict:
@@ -136,7 +147,7 @@ def main() -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-5"))
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", default="20")
+    parser.add_argument("--seconds", type=positive_seconds, default="20")
     parser.add_argument("--out", type=Path, help="output path (default: in the head checkout)")
     args = parser.parse_args()
 

@@ -5,12 +5,13 @@ subcommand's parser is the one declaration of its settings: name, type,
 default and choices. Settings resolve as defaults <- JSON config file <-
 flags, and the fully resolved config is echoed into every output directory.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O failure,
-4 numerical divergence, 5 corrupt artifact.
+4 numerical divergence (training, or a forecast that overflows), 5 corrupt artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -219,7 +220,6 @@ def cmd_train(args) -> int:
                                early_stop_patience=args.patience,
                                grad_clip_norm=args.grad_clip, lr_decay=args.lr_decay,
                                seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args.command, vars(args))
     try:
         report = tr.train(model, train_set, val_set, train_cfg,
@@ -245,15 +245,18 @@ def _load_model_or_die(path):
 
 
 def _predict_split(model, subset):
+    import numpy as np
+
     from .autodiff import ShapeError, Tensor
     x, forces, f0 = subset.stack()
-    if x.shape[-1] != model.config.n_in:
-        raise CliError(f"dataset condition dim {x.shape[-1]} does not match model "
-                       f"n_in {model.config.n_in}", EXIT_USAGE)
     try:
         pred = model.predict_forces(Tensor(x), Tensor(f0)).data
     except ShapeError as e:
         raise CliError(str(e), EXIT_USAGE)
+    finite = np.isfinite(pred).all(axis=(-2, -1))
+    if not finite.all():
+        raise CliError(f"the forecast of trajectory {int(np.argmin(finite))} is not finite",
+                       EXIT_DIVERGED)
     return x, forces, f0, pred
 
 
@@ -276,18 +279,13 @@ def cmd_predict(args) -> int:
     model = _load_model_or_die(args.checkpoint)
     subset = _split(_load_dataset_or_die(args.data), args.split)
     x, forces, f0, pred = _predict_split(model, subset)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args.command, vars(args))
     _write_prediction_csvs(out, subset, pred)
     if args.command == "eval":
         metrics = evalbench.compute_metrics(pred, forces)
         with atomic_write(out / "metrics.json") as fh:
-            fh.write(json.dumps({
-                "mae": metrics.mae, "rmse": metrics.rmse,
-                "mae_per_axis": list(metrics.mae_per_axis),
-                "rmse_per_axis": list(metrics.rmse_per_axis),
-                "num_samples": metrics.num_samples,
-                "split": args.split}, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps({**dataclasses.asdict(metrics), "split": args.split},
+                                indent=2, sort_keys=True) + "\n")
         labels, unit = (([f"F{a}" for a in "xyz"[:subset.f]], "N") if subset.f <= 3
                         else (["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"], "N, N&#183;m"))
         for j, rec in enumerate(subset.records):
@@ -307,7 +305,6 @@ def cmd_bench(args) -> int:
     from . import evalbench
 
     out = _require_out(args)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args.command, vars(args))
 
     def on_row(table):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor
 from .fileio import atomic_write
-from .hydrodata import TrajectoryDataset, generate, split_dataset
+from .hydrodata import TASK1_VARIANTS, TrajectoryDataset, generate, split_dataset
 from .models import ForecastModel, ModelConfig, build_model
 from .training import TrainConfig, evaluate_loss, train
 
@@ -122,7 +122,6 @@ SUITES = ("task1", "task2", "all")
 TASK1_ROWS = (("mlp", "euler"), ("attention", "euler"), ("mlp", "rk4"),
               ("attention", "rk4"))
 TASK2_ROWS = (("mlp", "euler"), ("attention", "euler"), ("lstm-baseline", "euler"))
-TASK1_VARIANTS = ("1.1", "1.2", "1.3")
 
 
 def _model_name(encoder: str, solver: str, with_solver: bool) -> str:
@@ -244,11 +243,7 @@ def emit_report(table: BenchmarkTable, outdir, include_timing: bool = True) -> l
 
     payload = {"config": table.config, "rows": []}
     for cell in table.rows:
-        row = {c: getattr(cell, c) for c in cols}
-        row["mae_per_axis"] = list(cell.mae_per_axis)
-        row["rmse_per_axis"] = list(cell.rmse_per_axis)
-        row["failure"] = cell.failure
-        payload["rows"].append(row)
+        payload["rows"].append({c: getattr(cell, c) for c in (*cols, "failure")})
     json_path = out / "results.json"
     with atomic_write(json_path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -59,9 +59,6 @@ class OracleParams:
         if any(a < 0 for a in self.body_area) or self.leg_area_coeffs[0] < 0:
             raise ValueError("areas must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "OracleParams":
         return cls(rho=d["rho"], cd=tuple(d["cd"]), body_area=tuple(d["body_area"]),
@@ -180,11 +177,7 @@ class TrajectoryDataset:
         return x, fr, f0
 
     def subset(self, ids: list[int]) -> "TrajectoryDataset":
-        return TrajectoryDataset(task=self.task, variant=self.variant,
-                                 n=self.n, f=self.f, length=self.length, dt=self.dt,
-                                 seed=self.seed, noise_fraction=self.noise_fraction,
-                                 oracle=self.oracle,
-                                 records=[self.records[i] for i in ids])
+        return dataclasses.replace(self, records=[self.records[i] for i in ids], splits=None)
 
 
 # ---- condition grid ------------------------------------------------------
@@ -322,7 +315,7 @@ def gen_task2(num_trajectories: int = 24, length: int = 400, dt: float = DEFAULT
     return ds
 
 
-_TASK1_VARIANTS = {"1.1": "static", "1.2": "switching", "1.3": "noisy"}
+TASK1_VARIANTS = {"1.1": "static", "1.2": "switching", "1.3": "noisy"}
 
 
 def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
@@ -339,8 +332,8 @@ def generate(task: str, seed: int = 0, num_trajectories: int | None = None,
     for name, count in (("num_trajectories", num_trajectories), ("length", length)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    if task in _TASK1_VARIANTS:
-        return gen_task1(_TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
+    if task in TASK1_VARIANTS:
+        return gen_task1(TASK1_VARIANTS[task], num_conditions=num_trajectories or 192,
                          length=length, dt=dt, seed=seed)
     if task == "2":
         return gen_task2(num_trajectories=num_trajectories or 24,
@@ -438,7 +431,7 @@ def save_dataset(ds: TrajectoryDataset, outdir) -> None:
         "dt": ds.dt,
         "seed": ds.seed,
         "noise_fraction": ds.noise_fraction,
-        "oracle_params": ds.oracle.to_dict(),
+        "oracle_params": dataclasses.asdict(ds.oracle),
         "splits": ds.splits,
         "table": name,
         "f0": [[float(v) for v in r.f0] for r in ds.records],

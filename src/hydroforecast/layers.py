@@ -89,7 +89,6 @@ class MLPBlock:
     def __init__(self, dims: list[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("MLPBlock needs at least input and output dims")
-        self.dims = list(dims)
         self.layers = [LinearLayer(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
 
     def named_parameters(self):
@@ -156,7 +155,6 @@ class LSTMStack:
                  num_layers: int = 2):
         if input_size <= 0 or hidden_size <= 0 or num_layers <= 0:
             raise ValueError("LSTMStack dims must be positive")
-        self.input_size = input_size
         self.num_layers = num_layers
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
@@ -175,8 +173,6 @@ class LSTMStack:
             yield f"layer{i}.bias", self.biases[i]
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.input_size:
-            raise ShapeError(f"lstm: input dim {x.shape[-1]} != {self.input_size}")
         for w, b in zip(self.weights, self.biases):
             x = ad.lstm_layer(x, w, b)
         return x

@@ -66,15 +66,6 @@ class ModelConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "kernel_hidden", tuple(self.kernel_hidden))
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["kernel_hidden"] = list(self.kernel_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 class ForecastModel:
     def __init__(self, config: ModelConfig):
@@ -124,6 +115,10 @@ class ForecastModel:
         self.f_scale = np.maximum(forces.reshape(-1, forces.shape[-1]).std(axis=0), 1e-8)
 
     def _norm_x(self, x: Tensor) -> Tensor:
+        """Standardized conditions: the one check of their width against n_in."""
+        if x.shape[-1] != self.config.n_in:
+            raise ShapeError(f"condition dim {x.shape[-1]} != configured n_in "
+                             f"{self.config.n_in}")
         centered = ad.sub(x, ad.expand(Tensor(self.x_mean), x.shape))
         return ad.mul(centered, ad.expand(Tensor(1.0 / self.x_std), x.shape))
 
@@ -133,8 +128,6 @@ class ForecastModel:
         cfg = self.config
         if cfg.encoder == "lstm-baseline":
             raise ValueError("lstm-baseline has no condition encoder")
-        if x.shape[-1] != cfg.n_in:
-            raise ShapeError(f"condition dim {x.shape[-1]} != configured n_in {cfg.n_in}")
         x = self._norm_x(x)
         if cfg.encoder == "mlp":
             return self.enc_mlp(x)
@@ -147,8 +140,6 @@ class ForecastModel:
         cfg = self.config
         x = x if isinstance(x, Tensor) else Tensor(x)
         f0 = f0 if isinstance(f0, Tensor) else Tensor(f0)
-        if x.shape[-1] != cfg.n_in:
-            raise ShapeError(f"condition dim {x.shape[-1]} != configured n_in {cfg.n_in}")
         if f0.shape[-1] != cfg.f_out:
             raise ShapeError(f"F0 dim {f0.shape[-1]} != configured f_out {cfg.f_out}")
         # forecast in per-axis normalised force space
@@ -196,7 +187,8 @@ class CheckpointError(RuntimeError):
 def checkpoint_save(model: ForecastModel, path) -> None:
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     header = json.dumps({
-        "config": {**model.config.to_dict(), **dict.fromkeys(RETIRED_CONFIG_KEYS, False)},
+        "config": {**dataclasses.asdict(model.config),
+                   **dict.fromkeys(RETIRED_CONFIG_KEYS, False)},
         "normalizer": {"x_mean": model.x_mean.tolist(),
                        "x_std": model.x_std.tolist(),
                        "f_scale": model.f_scale.tolist()},
@@ -274,7 +266,7 @@ def checkpoint_load(path) -> ForecastModel:
         for key in RETIRED_CONFIG_KEYS:
             if config.pop(key, False) is not False:
                 raise CheckpointError(f"config sets {key}, which this version cannot build")
-        model = build_model(ModelConfig.from_dict(config))
+        model = build_model(ModelConfig(**config))
     except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise CheckpointError(f"invalid config header: {e}") from None
     norm = header.get("normalizer")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 from .hydrodata import TrajectoryDataset
 from .models import ForecastModel, checkpoint_save
 
@@ -69,8 +69,6 @@ class TrainReport:
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
     return ad.reduce_mean(ad.square(ad.sub(pred, target)))
 
 
@@ -147,12 +145,6 @@ def train(model: ForecastModel, train_set: TrajectoryDataset,
     if train_set.num_trajectories == 0:
         raise ValueError("empty training set")
     x_all, forces_all, f0_all = train_set.stack()
-    if x_all.shape[-1] != model.config.n_in:
-        raise ShapeError(f"dataset condition dim {x_all.shape[-1]} != model n_in "
-                         f"{model.config.n_in}")
-    if forces_all.shape[-1] != model.config.f_out:
-        raise ShapeError(f"dataset force dim {forces_all.shape[-1]} != model f_out "
-                         f"{model.config.f_out}")
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
     report = TrainReport(train_losses=[], val_losses=[], best_epoch=-1,

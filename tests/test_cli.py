@@ -699,6 +699,36 @@ class TestPredictEval:
                     "--data", str(out), "--out", str(tmp_path / "p"))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_condition_width_mismatch_exit_2(self, dataset_dir, tmp_path, monkeypatch,
+                                             capsys, command):
+        """The model's own width check, reached with an F0 of the right width."""
+        model = models.build_model(models.ModelConfig(
+            encoder="mlp", n_in=5, f_out=2, d_model=4, latent=4, kernel_hidden=(4,)))
+        checkpoint_save(model, tmp_path / "m.ckpt")
+        code = main_in_process(monkeypatch, command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                               "--data", str(dataset_dir), "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "condition dim 4 != configured n_in 5" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_forecast_exit_4(self, checkpoint, dataset_dir, tmp_path, command):
+        """Finite weights whose forecast overflows: exit 4, and nothing is written."""
+        model = checkpoint_load(checkpoint)
+        last = model.kernel_mlp.layers[-1]
+        last.weight.data[:] = 1.5e308
+        last.bias.data[:] = -1.5e308
+        bad = tmp_path / "bad.ckpt"
+        checkpoint_save(model, bad)
+        out = tmp_path / "p"
+        r = run_cli(command, "--checkpoint", str(bad), "--data", str(dataset_dir),
+                    "--out", str(out))
+        assert r.returncode == 4
+        assert "the forecast of trajectory 0 is not finite" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not list(out.glob("pred_*.csv")) and not (out / "metrics.json").exists()
+
 
 class TestBench:
     def test_smoke_task1(self, tmp_path):

@@ -378,6 +378,16 @@ class TestSplit:
         _, _, _, a2 = split_dataset(ds, seed=5)
         assert a1 == a2
 
+    def test_subset_keeps_every_field_but_records(self):
+        ds = gen_task1("static", num_conditions=8, length=20, seed=3)
+        ds.splits = {"train": [0, 1, 2, 3, 4, 5], "val": [6], "test": [7]}
+        sub = ds.subset([5, 2])
+        assert [id(r) for r in sub.records] == [id(ds.records[5]), id(ds.records[2])]
+        assert sub.splits is None
+        for f in dataclasses.fields(ds):
+            if f.name not in ("records", "splits"):
+                assert getattr(sub, f.name) == getattr(ds, f.name), f.name
+
     def test_too_few_trajectories(self):
         ds = gen_task1("static", num_conditions=4)
         with pytest.raises(ValueError):
@@ -540,9 +550,9 @@ class TestDiskFormat:
         {"table": {"file": "trajectories_00000000.npy"}}, {"table": "../x.npy"},
         {"table": 7}, {"table": "trajectories_0000000g.npy"}, {"directions": "XYX"},
         {"directions": ["X"]}, {"directions": [1, 2]}, {"oracle_params": None},
-        {"oracle_params": {**OracleParams().to_dict(), "cd": 5}},
-        {"oracle_params": {**OracleParams().to_dict(), "rho": "x"}},
-        {"oracle_params": {**OracleParams().to_dict(), "rho": -1.0}},
+        {"oracle_params": {**dataclasses.asdict(OracleParams()), "cd": 5}},
+        {"oracle_params": {**dataclasses.asdict(OracleParams()), "rho": "x"}},
+        {"oracle_params": {**dataclasses.asdict(OracleParams()), "rho": -1.0}},
         {"oracle_params": {}}, "list"],
         ids=["n_text", "n_float", "n_bool", "f_null", "L_zero", "count_negative", "dt_text",
              "dt_null", "dt_negative", "dt_zero", "dt_nan", "dt_inf", "dt_bool",

@@ -141,6 +141,12 @@ class TestLSTM:
         assert lstm(Tensor(rng.normal(size=(9, 5)))).shape == (9, 6)
         assert lstm(Tensor(rng.normal(size=(2, 9, 5)))).shape == (2, 9, 6)
 
+    def test_wrong_input_width(self, rng):
+        lstm = LSTMStack(3, 4, rng)
+        for shape in [(6, 2), (2, 6, 4)]:
+            with pytest.raises(ShapeError):
+                lstm(Tensor(np.zeros(shape)))
+
     def test_zero_input_zero_weights(self, rng):
         lstm = LSTMStack(3, 4, rng, num_layers=1)
         lstm.weights[0].data[:] = 0.0

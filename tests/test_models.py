@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -41,7 +42,8 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = ModelConfig(encoder="mlp", kernel_hidden=(16, 32), dt=0.05)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        # a checkpoint header's path: JSON writes the kernel widths as a list
+        assert ModelConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 class TestBuild:
@@ -53,7 +55,7 @@ class TestBuild:
 
     def test_seed_changes_weights(self):
         a = build_model(TINY)
-        b = build_model(ModelConfig(**{**TINY.to_dict(), "seed": 1}))
+        b = build_model(dataclasses.replace(TINY, seed=1))
         assert any(not np.array_equal(t.data, b.params[n].data)
                    for n, t in a.params.items()
                    if "bias" not in n and "kernel.layer" not in n)
@@ -124,7 +126,7 @@ class TestPredict:
         assert np.array_equal(out.data, np.tile(f0, (20, 1)))
 
     def test_fresh_model_rk4_constant(self, rng):
-        cfg = ModelConfig(**{**TINY.to_dict(), "solver": "rk4"})
+        cfg = dataclasses.replace(TINY, solver="rk4")
         model = build_model(cfg)
         f0 = np.array([2.0, 3.0])
         out = model.predict_forces(Tensor(rng.normal(size=(10, 4))), Tensor(f0))
@@ -140,6 +142,12 @@ class TestPredict:
         out = m2.predict_forces(Tensor(rng.normal(size=(2, 40, 35))),
                                 Tensor(rng.normal(size=(2, 6))))
         assert out.shape == (2, 40, 6)
+
+    @pytest.mark.parametrize("encoder", ["attention", "mlp", "lstm-baseline"])
+    def test_condition_width_rejected(self, rng, encoder):
+        model = build_model(dataclasses.replace(TINY, encoder=encoder, lstm_hidden=8))
+        with pytest.raises(ShapeError, match="condition dim 5 != configured n_in 4"):
+            model.predict_forces(Tensor(rng.normal(size=(2, 10, 5))), Tensor(np.zeros((2, 2))))
 
     def test_grid_mismatch_rejected(self, rng):
         model = build_model(TINY)

@@ -164,6 +164,18 @@ class TestTrainLoop:
         with pytest.raises(ShapeError):
             train(model, small_data, None, TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("width", [{"n_in": 7}, {"f_out": 3}], ids=["n_in", "f_out"])
+    def test_width_mismatch_changes_nothing(self, small_data, tmp_path, width):
+        """The first forecast refuses the batch: no Adam step, no checkpoint."""
+        model = build_model(ModelConfig(encoder="mlp", d_model=8, latent=8, kernel_hidden=(8,),
+                                        **width))
+        before = {n: t.data.tobytes() for n, t in model.params.items()}
+        with pytest.raises(ShapeError):
+            train(model, small_data, None, TrainConfig(max_epochs=1),
+                  checkpoint_path=tmp_path / "m.ckpt")
+        assert {n: t.data.tobytes() for n, t in model.params.items()} == before
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_loss_decreases(self, small_data):
         model = build_model(TINY)
         model.fit_normalizer(small_data)
